@@ -24,10 +24,11 @@
  * Resume validation is paranoid by design: manifest CRC + version +
  * parameter echo (io/manifest.hpp), then every recorded run's extent
  * is bounds-checked against the spill file and its data re-read and
- * checksummed before a single record is trusted.  Any defect either
- * falls back loudly to a fresh start (ResumeOrFresh — the reason is
- * reported through StreamStats::resumeFallback) or fails the sort
- * with the same one-line reason (ResumeStrict, the --resume contract).
+ * checksummed before a single record is trusted.  Per the job's
+ * ResumePolicy, any defect either falls back loudly to a fresh start
+ * (ResumeOrFresh — the reason is reported through
+ * StreamStats::resumeFallback) or fails the sort with the same
+ * one-line reason (ResumeStrict, the --resume contract).
  *
  * Concurrency: single-writer by construction — commitChunk() is
  * called only by the phase-1 spiller stage, commitPass() only by the
@@ -56,7 +57,6 @@ namespace bonsai::sorter
 
 /** What to do with a job directory's previous contents. */
 enum class ResumePolicy {
-    Fresh,         ///< ignore and delete any previous attempt
     ResumeOrFresh, ///< resume when valid, else loud fresh fallback
     ResumeStrict,  ///< resume or fail with the validation reason
 };
@@ -89,7 +89,7 @@ class Checkpointer
         BONSAI_REQUIRE(cfg_.params.chunkRecords > 0,
                        "checkpoint params need the chunk length");
         io::createDirectories(cfg_.dir);
-        if (cfg_.policy != ResumePolicy::Fresh && tryResume())
+        if (tryResume())
             return;
         startFresh();
     }

@@ -38,22 +38,20 @@
  * in-memory sort of the same input whenever the buffer budget admits
  * the planned fan-in.
  *
- * Concurrent sorts: sortStream() owns a private BufferPool;
- * sortStreamShared() runs the same sort against a caller-owned pool
- * under a buffer allowance, which is how pipeline::SortService packs
- * several concurrent jobs into one global budget.
+ * Every streamed sort builds and owns its BufferPool, so it alone can
+ * (and on every exit does) check that the pool came back whole.
  */
 
 #ifndef BONSAI_SORTER_EXTERNAL_HPP
 #define BONSAI_SORTER_EXTERNAL_HPP
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -182,9 +180,9 @@ class StreamEngine
      * background worker, a prefetch cursor, a splitter probe, the
      * sink — unwinds to exactly one std::runtime_error thrown from
      * here.  First error wins; errors observed while quiescing behind
-     * it are counted in StreamStats::secondaryErrors.  All pool
-     * buffers are returned before the throw (lastPoolOutstanding()
-     * lets tests assert that).
+     * it are counted in StreamStats::secondaryErrors.  Every exit,
+     * failed or clean, first checks that all pool buffers came back:
+     * a leak throws a ContractViolation instead, in every build type.
      */
     StreamStats
     sortStream(io::RecordSource<RecordT> &source,
@@ -192,43 +190,7 @@ class StreamEngine
                io::RunStore<RecordT> &front,
                io::RunStore<RecordT> &back) const
     {
-        if (source.totalRecords() == 0) {
-            // Construct no pool: an empty sort succeeds under any
-            // budget, even one too small for a single batch buffer.
-            StreamStats stats;
-            stats.batchRecords = opt_.batchRecords;
-            sink.finish();
-            return stats;
-        }
-        io::BufferPool<RecordT> bufs(opt_.batchRecords,
-                                     opt_.bufferBudgetBytes);
-        return sortStreamShared(source, sink, front, back, bufs,
-                                bufs.buffers(),
-                                /* exclusive_pool = */ true);
-    }
-
-    /**
-     * Shared-pool variant: the same streamed sort against a
-     * caller-owned @p bufs, planning its phase-2 shape against at
-     * most @p allowance of the pool's buffers.  A job's concurrent
-     * holdings never exceed its shape's lanes * (2 ell + 2) <=
-     * allowance buffers, so several jobs whose allowances sum to the
-     * pool supply cannot deadlock each other's blocking acquires —
-     * the contract pipeline::SortService packs concurrent jobs with.
-     * @p exclusive_pool gates the all-buffers-returned postcondition,
-     * which only the pool's sole user may assert.
-     */
-    StreamStats
-    sortStreamShared(io::RecordSource<RecordT> &source,
-                     io::RecordSink<RecordT> &sink,
-                     io::RunStore<RecordT> &front,
-                     io::RunStore<RecordT> &back,
-                     io::BufferPool<RecordT> &bufs,
-                     std::uint64_t allowance,
-                     bool exclusive_pool) const
-    {
-        return sortStreamImpl(source, sink, front, back, bufs,
-                              allowance, exclusive_pool, nullptr);
+        return sortStreamImpl(source, sink, front, back, nullptr);
     }
 
     /**
@@ -252,30 +214,10 @@ class StreamEngine
                       io::RecordSink<RecordT> &sink,
                       const DurableOptions &durable) const
     {
-        if (source.totalRecords() == 0) {
-            StreamStats stats;
-            stats.batchRecords = opt_.batchRecords;
-            sink.finish();
-            return stats;
-        }
-        io::BufferPool<RecordT> bufs(opt_.batchRecords,
-                                     opt_.bufferBudgetBytes);
-        return sortStreamSharedDurable(source, sink, bufs,
-                                       bufs.buffers(),
-                                       /* exclusive_pool = */ true,
-                                       durable);
-    }
-
-    /** Shared-pool variant of sortStreamDurable (the SortService
-     *  packing contract of sortStreamShared, plus a checkpoint). */
-    StreamStats
-    sortStreamSharedDurable(io::RecordSource<RecordT> &source,
-                            io::RecordSink<RecordT> &sink,
-                            io::BufferPool<RecordT> &bufs,
-                            std::uint64_t allowance,
-                            bool exclusive_pool,
-                            const DurableOptions &durable) const
-    {
+        // An empty sort has no chunk geometry to journal: leave the
+        // job directory untouched.
+        if (source.totalRecords() == 0)
+            return finishEmpty(sink);
         typename Checkpointer<RecordT>::Config cfg;
         cfg.dir = durable.dir;
         cfg.policy = durable.policy;
@@ -285,7 +227,7 @@ class StreamEngine
         cfg.retryPolicy = durable.retryPolicy;
         Checkpointer<RecordT> ckpt(std::move(cfg));
         return sortStreamImpl(source, sink, ckpt.front(), ckpt.back(),
-                              bufs, allowance, exclusive_pool, &ckpt);
+                              &ckpt);
     }
 
   private:
@@ -296,22 +238,24 @@ class StreamEngine
                    io::RecordSink<RecordT> &sink,
                    io::RunStore<RecordT> &front,
                    io::RunStore<RecordT> &back,
-                   io::BufferPool<RecordT> &bufs,
-                   std::uint64_t allowance, bool exclusive_pool,
                    Checkpointer<RecordT> *ckpt) const
     {
+        // Construct no pool: an empty sort succeeds under any budget,
+        // even one too small for a single batch buffer.
+        if (source.totalRecords() == 0)
+            return finishEmpty(sink);
         StreamStats stats;
         stats.recordsIn = source.totalRecords();
         stats.batchRecords = opt_.batchRecords;
-        if (stats.recordsIn == 0) {
-            sink.finish();
-            return stats;
-        }
+        // Declared first so it outlives every lane, cursor and worker
+        // that borrows its buffers.
+        io::BufferPool<RecordT> bufs(opt_.batchRecords,
+                                     opt_.bufferBudgetBytes);
         ThreadPool pool(opt_.threads);
         stats.bufferPoolBytes = bufs.budgetBytes();
         const Phase2Shape shape = phase2Shape(
-            std::min<std::uint64_t>(bufs.buffers(), allowance),
-            bufs.budgetBytes(), opt_.phase2Ell, opt_.threads);
+            bufs.buffers(), bufs.budgetBytes(), opt_.phase2Ell,
+            opt_.threads);
         stats.effectiveEll = shape.ell;
         stats.concurrentGroups = shape.lanes;
         // One reader/writer worker pair per lane, so concurrent
@@ -366,36 +310,31 @@ class StreamEngine
             stats.manifestCommits = ckpt->commits();
             stats.resumeFallback = ckpt->fallbackReason();
         }
-        lastSecondaryErrors_.store(stats.secondaryErrors,
-                                   std::memory_order_relaxed);
-        lastPoolOutstanding_.store(bufs.outstanding(),
-                                   std::memory_order_relaxed);
+        // Checked before the rethrow so a failed sort proves its
+        // unwind returned every buffer too; a leak outranks the I/O
+        // error as a ContractViolation, which a caller catching
+        // std::runtime_error cannot swallow.
+        const std::uint64_t leaked = bufs.outstanding();
+        if (leaked != 0)
+            contracts::fail("postcondition", "bufs.outstanding() == 0",
+                            __FILE__, __LINE__,
+                            "buffer pool has " + std::to_string(leaked) +
+                                " outstanding buffers after a streamed "
+                                "sort");
         trap.rethrowIfSet();
-        if (exclusive_pool)
-            BONSAI_ENSURE(bufs.outstanding() == 0,
-                          "buffer pool has outstanding buffers after "
-                          "a clean streamed sort");
         return stats;
     }
 
-  public:
-    /** Pool buffers still outstanding when the last sortStream on
-     *  this engine returned or threw — 0 unless the unwind leaked
-     *  (tests assert this after injected faults). */
-    std::uint64_t
-    lastPoolOutstanding() const
+    /** The whole of an empty streamed sort: finish the sink. */
+    StreamStats
+    finishEmpty(io::RecordSink<RecordT> &sink) const
     {
-        return lastPoolOutstanding_.load(std::memory_order_relaxed);
+        StreamStats stats;
+        stats.batchRecords = opt_.batchRecords;
+        sink.finish();
+        return stats;
     }
 
-    /** Secondary (suppressed) errors of the last sortStream. */
-    std::uint64_t
-    lastSecondaryErrors() const
-    {
-        return lastSecondaryErrors_.load(std::memory_order_relaxed);
-    }
-
-  private:
     std::uint64_t
     chunkLength(std::uint64_t total) const
     {
@@ -463,11 +402,6 @@ class StreamEngine
     }
 
     Options opt_;
-    /** Post-mortem telemetry of the last sortStream (relaxed: written
-     *  once at the end of a sort, read by tests afterwards).  Mutable
-     *  because a failed sort is still a const operation. */
-    mutable std::atomic<std::uint64_t> lastPoolOutstanding_{0};
-    mutable std::atomic<std::uint64_t> lastSecondaryErrors_{0};
 };
 
 } // namespace bonsai::sorter

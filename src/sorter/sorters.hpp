@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/thread_pool.hpp"
 #include "core/optimizer.hpp"
 #include "core/platforms.hpp"
@@ -308,8 +309,15 @@ class SsdSorter
         SsdReport report;
         report.stream.recordsIn = n;
         if (n <= 1) {
-            RecordT rec;
-            if (n == 1 && source.read(&rec, 1) == 1) {
+            if (n == 1) {
+                RecordT rec;
+                // Same contract as the streamed reader of Phase1Spiller:
+                // a source that under-delivers fails, never truncates.
+                if (source.read(&rec, 1) == 0)
+                    contracts::fail("precondition", "source.read() != 0",
+                                    __FILE__, __LINE__,
+                                    "record source ended at record 0 "
+                                    "but declared 1");
                 io::requireNoTerminals(&rec, 1);
                 sink.write(&rec, 1);
             }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bonsai.hpp"
@@ -262,6 +263,32 @@ TEST(SsdSorter, StreamedDegenerateInputs)
     EXPECT_EQ(out[0], (Record{9, 1}));
     EXPECT_EQ(r1.stream.recordsIn, 1u);
     EXPECT_EQ(r1.stream.spillBytesWritten, 0u);
+}
+
+TEST(SsdSorter, SingleRecordSourceEndingEarlyFailsLoudly)
+{
+    /** Declares one record but delivers none. */
+    class ShortSource : public io::RecordSource<Record>
+    {
+      public:
+        std::uint64_t totalRecords() const override { return 1; }
+        std::uint64_t read(Record *, std::uint64_t) override { return 0; }
+    };
+
+    sorter::SsdSorter sorter;
+    ShortSource source;
+    std::vector<Record> out;
+    io::MemorySink<Record> sink(out);
+    try {
+        sorter.sortStream(source, sink, 16);
+        FAIL() << "a short one-record source must not sort silently";
+    } catch (const ContractViolation &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "record source ended at record 0 but declared 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(out.empty());
 }
 
 } // namespace
