@@ -3,9 +3,10 @@
  * Out-of-core streaming sort benchmarks (google-benchmark).
  *
  * BM_StreamedVsInMemory prices what the streaming layer costs over the
- * in-memory adapter on the same records and engine options: the
- * streamed run sorts through two spill files and the bounded buffer
- * pool, the in-memory run through the zero-copy Merge Path passes.
+ * in-memory sort (sortChunks) on the same records and engine options:
+ * the streamed run sorts through two spill files and the bounded
+ * buffer pool, the in-memory run through the BehavioralSorter's Merge
+ * Path stages.
  * The gap is the spill I/O plus whatever prefetch/write-back overlap
  * fails to hide (the stall telemetry on the counters shows which).
  *
@@ -36,6 +37,7 @@
 #include "common/random.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
+#include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
 
 namespace
@@ -63,7 +65,12 @@ BM_StreamedVsInMemory(benchmark::State &state)
     const bool streamed = state.range(1) != 0;
     const auto input =
         makeRecords(n, Distribution::UniformRandom, 1234);
-    const sorter::StreamEngine<Record> engine(engineOptions(1 << 12));
+    const auto opt = engineOptions(1 << 12);
+    const sorter::StreamEngine<Record> engine(opt);
+    const sorter::BehavioralSorter<Record> phase1(
+        opt.phase1Ell, opt.presortRun, opt.threads);
+    const sorter::BehavioralSorter<Record> phase2(opt.phase2Ell, 1,
+                                                  opt.threads);
 
     sorter::StreamStats last;
     for (auto _ : state) {
@@ -79,7 +86,9 @@ BM_StreamedVsInMemory(benchmark::State &state)
             benchmark::DoNotOptimize(out.data());
         } else {
             auto data = input;
-            last = engine.sortInPlace(data);
+            ThreadPool pool(opt.threads);
+            last = sorter::sortChunks(data, opt.chunkRecords, phase1,
+                                      phase2, pool);
             benchmark::DoNotOptimize(data.data());
         }
     }

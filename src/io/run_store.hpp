@@ -10,11 +10,9 @@
  * merged output runs to the other — every pass is one full "SSD round
  * trip" in the paper's cost model.
  *
- *  - MemoryRunStore keeps records in a DRAM buffer and additionally
- *    exposes the raw span, which lets the engine merge in place with
- *    the Merge Path parallel kernel (zero copies) — this is how the
- *    in-memory sort(std::vector&) facade stays byte- and
- *    performance-identical.
+ *  - MemoryRunStore keeps records in a caller-owned DRAM buffer, so
+ *    a streamed sort can run with storage bandwidth out of the
+ *    picture (benches, tests).
  *  - FileRunStore spills to an anonymous temp file through positioned
  *    I/O that is safe to call concurrently from the prefetch worker,
  *    the write-back worker and the merge thread.
@@ -87,8 +85,8 @@ class RunStore
     /** Retry counters of the underlying device (zero for DRAM). */
     virtual IoRetryStats retryStats() const { return {}; }
 
-    /** In-memory stores return their backing buffer so merges can run
-     *  zero-copy; storage-backed stores return an empty span. */
+    /** In-memory stores return their backing buffer; storage-backed
+     *  stores return an empty span.  The engine never reads it. */
     virtual std::span<RecordT>
     memorySpan()
     {

@@ -21,6 +21,7 @@
 #define BONSAI_SORTER_BEHAVIORAL_HPP
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "sorter/loser_tree.hpp"
 #include "sorter/merge_path.hpp"
 #include "sorter/stage_plan.hpp"
+#include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
 {
@@ -69,6 +71,7 @@ class BehavioralSorter
     }
 
     unsigned threads() const { return threads_; }
+    unsigned ell() const { return ell_; }
 
     /** Sort @p data in place; returns per-stage statistics. */
     BehavioralStats
@@ -77,35 +80,36 @@ class BehavioralSorter
         if (data.size() <= 1)
             return {};
         ThreadPool pool(threads_); // persists across all stages
-        return sort(data, pool);
+        return mergeRuns(data, presort(data), pool);
     }
 
     /**
-     * Sort @p data in place on a caller-provided pool.  Lets callers
-     * that sort many buffers (the SSD sorter's phase-1 chunk loop)
-     * keep one pool alive across all of them instead of paying a
-     * worker spawn/join per call; @p pool's width overrides the
-     * constructor's thread count.
+     * Merge the already-sorted @p runs of @p data in place through
+     * StagePlan stages of this sorter's fan-in on @p pool — the stage
+     * loop sort() runs after its presort, exposed so a chunked sort
+     * (sortChunks) can merge its chunk runs at a second fan-in.
      */
     BehavioralStats
-    sort(std::vector<RecordT> &data, ThreadPool &pool) const
+    mergeRuns(std::vector<RecordT> &data, std::vector<RunSpan> runs,
+              ThreadPool &pool) const
     {
         BehavioralStats stats;
-        if (data.size() <= 1)
+        if (runs.size() <= 1)
             return stats;
         std::vector<RecordT> scratch(data.size());
-        if (sortBuffers({data.data(), data.size()},
-                        {scratch.data(), scratch.size()}, pool, stats))
+        if (mergeStages({data.data(), data.size()},
+                        {scratch.data(), scratch.size()}, std::move(runs),
+                        pool, stats))
             data = std::move(scratch);
         return stats;
     }
 
     /**
-     * Sort a caller-owned range in place — the out-of-core engine's
-     * phase 1 sorts each streamed chunk this way, with no per-chunk
-     * copy round trip.  Scratch is internal; if the stage ping-pong
-     * ends there, the result is copied back (at most one extra pass,
-     * where the old copy-out/copy-in adapter always paid two).
+     * Sort a caller-owned range in place — phase 1 of both the
+     * out-of-core engine and sortChunks sorts each chunk this way,
+     * with no per-chunk copy round trip.  Scratch is internal; if the
+     * stage ping-pong ends there, the result is copied back (at most
+     * one extra pass).
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool) const
@@ -114,8 +118,8 @@ class BehavioralSorter
         if (data.size() <= 1)
             return stats;
         std::vector<RecordT> scratch(data.size());
-        if (sortBuffers(data, {scratch.data(), scratch.size()}, pool,
-                        stats))
+        if (mergeStages(data, {scratch.data(), scratch.size()},
+                        presort(data), pool, stats))
             std::copy(scratch.begin(), scratch.end(), data.begin());
         return stats;
     }
@@ -123,10 +127,10 @@ class BehavioralSorter
     /**
      * Execute one merge stage of @p plan from @p src into @p dst on
      * @p pool.  Public so stage-level benchmarks (bench_ablation_
-     * threads) and the SSD sorter's phase-2 merge reuse the exact
-     * scheduling the full sort uses.  Groups write disjoint output
-     * runs and slices write disjoint sub-ranges, so all tasks run
-     * concurrently; the result is byte-identical for any pool width.
+     * threads) reuse the exact scheduling the full sort uses.  Groups
+     * write disjoint output runs and slices write disjoint sub-ranges,
+     * so all tasks run concurrently; the result is byte-identical for
+     * any pool width.
      */
     void
     runStage(const StagePlan &plan, std::span<const RecordT> src,
@@ -176,19 +180,18 @@ class BehavioralSorter
 
   private:
     /**
-     * Stage loop shared by the vector and span entry points: presort
-     * @p data, then ping-pong merge stages between @p data and
-     * @p scratch.  Returns true when the sorted result ended up in
-     * @p scratch (odd stage count), letting the vector overload move
-     * instead of copy.
+     * The stage loop: ping-pong merge stages of the sorted @p runs
+     * between @p data and @p scratch.  Returns true when the result
+     * ended up in @p scratch (odd stage count), letting the vector
+     * entry points move instead of copy.
      */
     bool
-    sortBuffers(std::span<RecordT> data, std::span<RecordT> scratch,
-                ThreadPool &pool, BehavioralStats &stats) const
+    mergeStages(std::span<RecordT> data, std::span<RecordT> scratch,
+                std::vector<RunSpan> runs, ThreadPool &pool,
+                BehavioralStats &stats) const
     {
         BONSAI_REQUIRE(scratch.size() >= data.size(),
                        "scratch must cover the data range");
-        std::vector<RunSpan> runs = presort(data);
         std::span<RecordT> src = data;
         std::span<RecordT> dst = scratch.first(data.size());
         bool in_scratch = false;
@@ -272,6 +275,55 @@ class BehavioralSorter
     std::uint64_t presortRun_;
     unsigned threads_;
 };
+
+/**
+ * The in-memory two-phase sort (paper Section IV-C): @p phase1 sorts
+ * each @p chunk_records-long chunk of @p data in place (0 = one
+ * chunk), then @p phase2 merges the chunk runs with mergeRuns, all on
+ * @p pool.  Byte-identical to StreamEngine::sortStream with the same
+ * fan-ins, presort and chunk length whenever the engine's buffer
+ * budget admits phase 2's fan-in: both run the same StagePlan groups
+ * in the same loser-tree order.  Reports the telemetry it has
+ * — chunks, records moved per phase, merge passes, phase times and
+ * the phase-2 fan-in; the pool and batch fields stay 0.
+ */
+template <typename RecordT>
+StreamStats
+sortChunks(std::vector<RecordT> &data, std::uint64_t chunk_records,
+           const BehavioralSorter<RecordT> &phase1,
+           const BehavioralSorter<RecordT> &phase2, ThreadPool &pool)
+{
+    using Clock = std::chrono::steady_clock;
+    StreamStats stats;
+    stats.recordsIn = data.size();
+    stats.effectiveEll = phase2.ell();
+    if (data.size() <= 1)
+        return stats;
+
+    const auto t1 = Clock::now();
+    const std::uint64_t chunk =
+        chunk_records != 0 ? chunk_records : data.size();
+    std::vector<RunSpan> runs;
+    for (std::uint64_t lo = 0; lo < data.size(); lo += chunk) {
+        const std::uint64_t len =
+            std::min<std::uint64_t>(chunk, data.size() - lo);
+        stats.phase1RecordsMoved +=
+            phase1.sort(std::span<RecordT>(data.data() + lo, len), pool)
+                .recordsMoved;
+        runs.push_back(RunSpan{lo, len});
+    }
+    stats.phase1Chunks = runs.size();
+    const auto t2 = Clock::now();
+    stats.phase1Seconds = std::chrono::duration<double>(t2 - t1).count();
+
+    const BehavioralStats merged =
+        phase2.mergeRuns(data, std::move(runs), pool);
+    stats.mergePasses = merged.stages;
+    stats.recordsMoved = stats.phase1RecordsMoved + merged.recordsMoved;
+    stats.phase2Seconds =
+        std::chrono::duration<double>(Clock::now() - t2).count();
+    return stats;
+}
 
 } // namespace bonsai::sorter
 

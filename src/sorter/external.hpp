@@ -29,12 +29,9 @@
  * segments — byte-identical to the serial tournament for any thread
  * count, including equal-key floods.
  *
- * Memory-backed stores short-circuit: when both stores expose a
- * memorySpan(), a pass runs on BehavioralSorter::runStage — the Merge
- * Path sliced, thread-parallel kernel — with zero copies, which is how
- * sort(std::vector&) remains a thin, byte-identical adapter.  Both
- * paths emit the identical record sequence (the per-group loser-tree
- * augmented order), so a file-backed sort is byte-identical to the
+ * The engine only streams.  Its in-memory counterpart is sortChunks
+ * (sorter/behavioral.hpp): both run the same StagePlan groups in the
+ * same loser-tree order, so a streamed sort is byte-identical to the
  * in-memory sort of the same input whenever the buffer budget admits
  * the planned fan-in.
  *
@@ -46,28 +43,23 @@
 #define BONSAI_SORTER_EXTERNAL_HPP
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
-#include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
-#include "sorter/behavioral.hpp"
 #include "sorter/checkpoint.hpp"
 #include "sorter/merge_plan.hpp"
 #include "sorter/phase1_spill.hpp"
 #include "sorter/phase2_merge.hpp"
-#include "sorter/stage_plan.hpp"
 #include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
@@ -104,70 +96,6 @@ class StreamEngine
     {
         BONSAI_REQUIRE(opt_.phase1Ell >= 2 && opt_.phase2Ell >= 2,
                        "merge fan-in must be at least 2");
-    }
-
-    /**
-     * In-memory adapter: phase 1 sorts chunk ranges of @p data in
-     * place, phase 2 ping-pongs memory-backed stores (zero-copy Merge
-     * Path passes).  Byte-identical to the streamed path on the same
-     * input and options.
-     */
-    StreamStats
-    sortInPlace(std::vector<RecordT> &data) const
-    {
-        StreamStats stats;
-        stats.recordsIn = data.size();
-        // Unified telemetry with sortStream: the in-memory adapter
-        // reports the same batch/budget knobs (what the equivalent
-        // streamed run would be bounded by) even though its zero-copy
-        // passes hold no pool buffers; effectiveEll is the fan-in it
-        // actually merges with (memory passes are not budget-capped).
-        stats.effectiveEll = opt_.phase2Ell;
-        stats.batchRecords = opt_.batchRecords;
-        stats.bufferPoolBytes = poolBudgetBytes();
-        stats.concurrentGroups = opt_.threads;
-        stats.finalSlices = opt_.threads;
-        if (data.size() <= 1)
-            return stats;
-        ThreadPool pool(opt_.threads);
-
-        const auto t1 = std::chrono::steady_clock::now();
-        const std::uint64_t chunk = chunkLength(data.size());
-        BehavioralSorter<RecordT> phase1(
-            opt_.phase1Ell, opt_.presortRun, opt_.threads);
-        std::vector<RunSpan> runs;
-        for (std::uint64_t lo = 0; lo < data.size(); lo += chunk) {
-            const std::uint64_t len =
-                std::min<std::uint64_t>(chunk, data.size() - lo);
-            const BehavioralStats s = phase1.sort(
-                std::span<RecordT>(data.data() + lo, len), pool);
-            stats.phase1RecordsMoved += s.recordsMoved;
-            stats.recordsMoved += s.recordsMoved;
-            runs.push_back(RunSpan{lo, len});
-        }
-        stats.phase1Chunks = runs.size();
-        stats.phase1Seconds = secondsSince(t1);
-
-        const auto t2 = std::chrono::steady_clock::now();
-        std::vector<RecordT> scratch(data.size());
-        io::MemoryRunStore<RecordT> front(
-            {data.data(), data.size()});
-        io::MemoryRunStore<RecordT> back(
-            {scratch.data(), scratch.size()});
-        front.setRuns(std::move(runs));
-        io::RunStore<RecordT> *src = &front;
-        io::RunStore<RecordT> *dst = &back;
-        const BehavioralSorter<RecordT> merger(opt_.phase2Ell, 1,
-                                               opt_.threads);
-        while (src->runs().size() > 1) {
-            mergePass(*src, *dst, opt_.phase2Ell, merger, pool, stats);
-            std::swap(src, dst);
-            ++stats.mergePasses;
-        }
-        if (src == &back)
-            data = std::move(scratch);
-        stats.phase2Seconds = secondsSince(t2);
-        return stats;
     }
 
     /**
@@ -358,47 +286,6 @@ class StreamEngine
         p.phase2Ell = opt_.phase2Ell;
         p.bufferBudgetBytes = opt_.bufferBudgetBytes;
         return p;
-    }
-
-    static double
-    secondsSince(std::chrono::steady_clock::time_point start)
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    }
-
-    /** Bytes a BufferPool with these options would be allowed to hold
-     *  — telemetry for the in-memory adapter, computed without
-     *  constructing a pool (which fails loudly on tiny budgets). */
-    std::uint64_t
-    poolBudgetBytes() const
-    {
-        const std::uint64_t batch_bytes =
-            opt_.batchRecords * sizeof(RecordT);
-        if (batch_bytes == 0)
-            return 0;
-        return (opt_.bufferBudgetBytes / batch_bytes) * batch_bytes;
-    }
-
-    /** One store-to-store merge pass; memory-backed store pairs run
-     *  the zero-copy Merge Path kernel instead of streaming. */
-    void
-    mergePass(io::RunStore<RecordT> &src, io::RunStore<RecordT> &dst,
-              unsigned ell, const BehavioralSorter<RecordT> &merger,
-              ThreadPool &pool, StreamStats &stats) const
-    {
-        const StagePlan plan(src.runs(), ell);
-        const std::span<RecordT> s = src.memorySpan();
-        const std::span<RecordT> d = dst.memorySpan();
-        BONSAI_REQUIRE(!s.empty() && !d.empty(),
-                       "mergePass needs memory-backed stores; "
-                       "storage-backed passes go through the "
-                       "Phase2Merger");
-        merger.runStage(plan, {s.data(), s.size()}, d, pool);
-        stats.recordsMoved += plan.totalRecords();
-        dst.setRuns(plan.outputRuns());
-        src.setRuns({});
     }
 
     Options opt_;

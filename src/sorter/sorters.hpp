@@ -11,9 +11,10 @@
  *  - DramSorter: single-node DRAM-scale sorting (Section IV-A);
  *  - HbmSorter: unrolled configuration on HBM banks (Section IV-B);
  *  - SsdSorter: two-phase terabyte-scale sorting (Section IV-C).
- *    sort(std::vector&) is a thin adapter over the out-of-core
- *    StreamEngine; sortStream() runs the same engine against
- *    RecordSource/RecordSink with bounded resident memory.
+ *    sort(std::vector&) runs the plan in memory on the
+ *    BehavioralSorter (sortChunks); sortStream() runs it through the
+ *    out-of-core StreamEngine against RecordSource/RecordSink with
+ *    bounded resident memory, byte-identical for distinct keys.
  *
  * All facades reject the reserved all-zero terminal record at the
  * boundary (Section V-B) and return a zeroed report for empty and
@@ -105,12 +106,12 @@ class DramSorter
     SortReport
     sort(std::vector<RecordT> &data, std::uint64_t record_bytes) const
     {
+        io::requireNoTerminals(data.data(), data.size());
         if (data.size() <= 1) {
             SortReport report;
             report.stream.recordsIn = data.size();
             return report;
         }
-        io::requireNoTerminals(data.data(), data.size());
         model::BonsaiInputs in;
         in.array = {data.size(), record_bytes};
         in.hw = hw_;
@@ -253,20 +254,19 @@ class SsdSorter
     };
 
     /**
-     * In-memory adapter over the out-of-core engine: phase 1 sorts
-     * chunk ranges of @p data in place (no per-chunk copy), phase 2
-     * merges between @p data and one scratch buffer with the Merge
-     * Path parallel kernel.
+     * In-memory two-phase sort: sortChunks runs the plan's phase-1
+     * chunk sorts and phase-2 run merge on @p data and one scratch
+     * buffer with the Merge Path parallel kernel.
      */
     template <typename RecordT>
     SsdReport
     sort(std::vector<RecordT> &data, std::uint64_t record_bytes) const
     {
+        io::requireNoTerminals(data.data(), data.size());
         SsdReport report;
         report.stream.recordsIn = data.size();
         if (data.size() <= 1)
             return report;
-        io::requireNoTerminals(data.data(), data.size());
         model::ArrayParams array{data.size(), record_bytes};
         const auto plan =
             core::planSsdSort(array, hw_, arch_, ssd_);
@@ -275,15 +275,14 @@ class SsdSorter
                 "Bonsai: no feasible SSD two-phase plan");
         report.plan = *plan;
 
-        typename StreamEngine<RecordT>::Options eng;
-        eng.phase1Ell = plan->phase1.config.ell;
-        eng.phase2Ell = plan->phase2.config.ell;
-        eng.presortRun = arch_.presortRunLength;
-        eng.chunkRecords = plan->chunkRecords;
-        eng.threads = threads_;
-
+        const BehavioralSorter<RecordT> phase1(
+            plan->phase1.config.ell, arch_.presortRunLength, threads_);
+        const BehavioralSorter<RecordT> phase2(plan->phase2.config.ell,
+                                               1, threads_);
         const auto start = std::chrono::steady_clock::now();
-        report.stream = StreamEngine<RecordT>(eng).sortInPlace(data);
+        ThreadPool pool(threads_);
+        report.stream = sortChunks(data, plan->chunkRecords, phase1,
+                                   phase2, pool);
         report.hostSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)

@@ -1,7 +1,10 @@
 /**
  * @file
- * Unified telemetry of a streamed (or adapted in-memory) sort, shared
- * by SortReport and SsdReport so benches compare backends uniformly.
+ * Unified telemetry of a streamed or in-memory sort, shared by
+ * SortReport and SsdReport so benches compare backends uniformly.
+ * An in-memory sort fills only the fields it has (records moved,
+ * chunks, merge passes, phase times, fan-in); its pool, batch and
+ * spill fields stay 0.
  *
  * Extracted from the stream-engine monolith; see sorter/external.hpp
  * for the engine facade and docs/ARCHITECTURE.md for the module map
@@ -35,8 +38,7 @@ struct StreamStats
     unsigned finalSlices = 0;
     std::uint64_t batchRecords = 0;    ///< streaming batch size b
     std::uint64_t bufferPoolBytes = 0; ///< bounded pool budget
-    /** High-water pool usage (streamed path only; 0 for the
-     *  zero-copy in-memory adapter, which holds no pool buffers). */
+    /** High-water pool usage (streamed path only). */
     std::uint64_t bufferPoolPeakBytes = 0;
     double phase1Seconds = 0.0;
     double phase2Seconds = 0.0;

@@ -26,6 +26,7 @@
 #include "io/fault_injection.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
+#include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
 
 namespace bonsai::sorter
@@ -47,6 +48,19 @@ faultOptions(unsigned threads)
     opt.bufferBudgetBytes = 64 * 128 * sizeof(Record);
     opt.threads = threads;
     return opt;
+}
+
+/** The fault-free reference bytes: sortChunks with the engine's chunk
+ *  length, fan-ins and presort, at one thread. */
+std::vector<Record>
+faultFreeSort(std::vector<Record> data)
+{
+    const auto opt = faultOptions(1);
+    ThreadPool pool(1);
+    sortChunks(data, opt.chunkRecords,
+               BehavioralSorter<Record>(opt.phase1Ell, opt.presortRun),
+               BehavioralSorter<Record>(opt.phase2Ell, 1), pool);
+    return data;
 }
 
 /** Retries resolve in microseconds so failure tests don't sleep. */
@@ -264,8 +278,7 @@ TEST(StreamEngineFaults, HealedTransientFaultIsByteIdentical)
     // with the exact bytes of a fault-free run, and the retries must
     // show up in the engine telemetry.
     const auto data = makeRecords(30'000, Distribution::FewDistinct);
-    auto expected = data;
-    StreamEngine<Record>(faultOptions(1)).sortInPlace(expected);
+    const auto expected = faultFreeSort(data);
 
     for (const unsigned threads : {1u, 4u}) {
         io::FileRunStore<Record> front;
@@ -292,8 +305,7 @@ TEST(StreamEngineFaults, ShortTransfersAndEintrAreInvisible)
     // A storm of short transfers and EINTR on the spill device: no
     // retries burned, no error, identical bytes — just telemetry.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
-    auto expected = data;
-    StreamEngine<Record>(faultOptions(1)).sortInPlace(expected);
+    const auto expected = faultFreeSort(data);
 
     for (const unsigned threads : {1u, 4u}) {
         io::FileRunStore<Record> front;

@@ -12,6 +12,7 @@
 #include "common/record.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
+#include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
 
 namespace bonsai::sorter
@@ -35,6 +36,20 @@ smallOptions()
     return opt;
 }
 
+/** The in-memory reference: sortChunks with the engine's chunk
+ *  length, fan-ins, presort and thread count. */
+StreamStats
+chunkSort(const StreamEngine<Record>::Options &opt,
+          std::vector<Record> &data)
+{
+    ThreadPool pool(opt.threads);
+    return sortChunks(
+        data, opt.chunkRecords,
+        BehavioralSorter<Record>(opt.phase1Ell, opt.presortRun,
+                                 opt.threads),
+        BehavioralSorter<Record>(opt.phase2Ell, 1, opt.threads), pool);
+}
+
 std::vector<Record>
 streamSort(const StreamEngine<Record> &engine,
            const std::vector<Record> &data, StreamStats *stats = nullptr)
@@ -51,7 +66,7 @@ streamSort(const StreamEngine<Record> &engine,
     return out;
 }
 
-TEST(StreamEngine, SortInPlaceMatchesStdSort)
+TEST(StreamEngine, SortChunksMatchesStdSort)
 {
     auto data = makeRecords(20'000, Distribution::UniformRandom);
     auto expected = data;
@@ -61,8 +76,7 @@ TEST(StreamEngine, SortInPlaceMatchesStdSort)
                       (a.key == b.key && a.value < b.value);
               });
 
-    const StreamEngine<Record> engine(smallOptions());
-    const StreamStats stats = engine.sortInPlace(data);
+    const StreamStats stats = chunkSort(smallOptions(), data);
     EXPECT_EQ(data, expected);
     EXPECT_EQ(stats.recordsIn, 20'000u);
     EXPECT_EQ(stats.phase1Chunks, 20u); // ceil(20000 / 1000)
@@ -81,7 +95,7 @@ TEST(StreamEngine, StreamedOutputIsByteIdenticalToInPlace)
     const auto original = in_place;
 
     const StreamEngine<Record> engine(smallOptions());
-    engine.sortInPlace(in_place);
+    chunkSort(smallOptions(), in_place);
 
     StreamStats stats;
     const auto streamed = streamSort(engine, original, &stats);
@@ -152,10 +166,17 @@ TEST(StreamEngine, ParallelStreamIsByteIdenticalAcrossThreadCounts)
         auto in_place = data;
         auto opt = smallOptions();
         opt.threads = 1;
-        StreamEngine<Record>(opt).sortInPlace(in_place);
+        chunkSort(opt, in_place);
 
         for (const unsigned threads : {1u, 2u, 8u}) {
             opt.threads = threads;
+            if (threads >= 2) {
+                auto in_memory = data;
+                chunkSort(opt, in_memory);
+                ASSERT_EQ(in_memory, in_place)
+                    << "thread count " << threads
+                    << " changed the in-memory output bytes";
+            }
             const StreamEngine<Record> engine(opt);
             StreamStats stats;
             const auto streamed = streamSort(engine, data, &stats);
@@ -174,14 +195,14 @@ TEST(StreamEngine, SingletonGroupIsBatchCopiedNotMerged)
 {
     // 3 runs at fan-in 2 leave a 1-member group; the bypass must
     // batch-copy it with the same moved-records accounting as the
-    // in-place backend (which charges every pass its full total).
+    // in-memory sort (which charges every pass its full total).
     auto opt = smallOptions();
     opt.phase2Ell = 2;
     const StreamEngine<Record> engine(opt);
 
     const auto data = makeRecords(3'000, Distribution::UniformRandom);
     auto in_place = data;
-    const StreamStats mem = engine.sortInPlace(in_place);
+    const StreamStats mem = chunkSort(opt, in_place);
 
     StreamStats stats;
     const auto streamed = streamSort(engine, data, &stats);
@@ -203,7 +224,7 @@ TEST(StreamEngine, BudgetAdmittingOneLaneFallsBackToSerial)
 
     const auto data = makeRecords(20'000, Distribution::FewDistinct);
     auto in_place = data;
-    engine.sortInPlace(in_place);
+    chunkSort(opt, in_place);
 
     StreamStats stats;
     const auto streamed = streamSort(engine, data, &stats);
@@ -223,28 +244,6 @@ TEST(StreamEngine, PoolPeakStaysWithinTheBudget)
     streamSort(engine, data, &stats);
     EXPECT_GT(stats.bufferPoolPeakBytes, 0u);
     EXPECT_LE(stats.bufferPoolPeakBytes, stats.bufferPoolBytes);
-}
-
-TEST(StreamEngine, InPlaceAndStreamedReportUnifiedTelemetry)
-{
-    // The in-memory adapter must fill the same telemetry fields the
-    // streamed path does, so benches compare backends like for like.
-    const auto opt = smallOptions();
-    const StreamEngine<Record> engine(opt);
-
-    auto data = makeRecords(10'000, Distribution::UniformRandom);
-    const StreamStats mem = engine.sortInPlace(data);
-    StreamStats streamed;
-    streamSort(engine, makeRecords(10'000, Distribution::UniformRandom),
-               &streamed);
-
-    EXPECT_EQ(mem.batchRecords, opt.batchRecords);
-    EXPECT_EQ(mem.batchRecords, streamed.batchRecords);
-    EXPECT_EQ(mem.bufferPoolBytes, streamed.bufferPoolBytes);
-    EXPECT_GT(mem.bufferPoolBytes, 0u);
-    EXPECT_GT(mem.effectiveEll, 0u);
-    EXPECT_GT(mem.concurrentGroups, 0u);
-    EXPECT_GT(mem.finalSlices, 0u);
 }
 
 TEST(StreamEngine, EmptySourceProducesEmptyOutput)
@@ -268,7 +267,7 @@ TEST(StreamEngine, SingleRunStreamsStraightToTheSink)
     const auto out = streamSort(engine, data, &stats);
 
     auto expected = data;
-    engine.sortInPlace(expected);
+    chunkSort(smallOptions(), expected);
     EXPECT_EQ(out, expected);
     EXPECT_EQ(stats.phase1Chunks, 1u);
     EXPECT_EQ(stats.mergePasses, 1u);
@@ -282,7 +281,7 @@ TEST(StreamEngine, RunCountExactlyEllMergesInOnePass)
     const auto out = streamSort(engine, data, &stats);
 
     auto expected = data;
-    engine.sortInPlace(expected);
+    chunkSort(smallOptions(), expected);
     EXPECT_EQ(out, expected);
     EXPECT_EQ(stats.phase1Chunks, 4u); // exactly ell runs
     EXPECT_EQ(stats.mergePasses, 1u);  // one group, straight to sink

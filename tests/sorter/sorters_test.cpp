@@ -169,6 +169,10 @@ TEST(DramSorter, TerminalRecordInInputIsRejected)
     data[500] = Record::terminal();
     sorter::DramSorter sorter;
     EXPECT_THROW(sorter.sort(data, 4), ContractViolation);
+
+    // A lone terminal record is no degenerate "already sorted" input.
+    std::vector<Record> lone{Record::terminal()};
+    EXPECT_THROW(sorter.sort(lone, 4), ContractViolation);
 }
 
 TEST(SsdSorter, TerminalRecordInInputIsRejected)
@@ -177,6 +181,10 @@ TEST(SsdSorter, TerminalRecordInInputIsRejected)
     data[0] = Record::terminal();
     sorter::SsdSorter sorter;
     EXPECT_THROW(sorter.sort(data, 4), ContractViolation);
+
+    // Same contract as sortStream on a one-record source.
+    std::vector<Record> lone{Record::terminal()};
+    EXPECT_THROW(sorter.sort(lone, 4), ContractViolation);
 }
 
 TEST(SsdSorter, Phase1MovesMatchInPlaceChunkSorts)
