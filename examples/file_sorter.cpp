@@ -194,18 +194,14 @@ cmdExtSort(const char *in_path, const char *out_path, unsigned threads,
                 static_cast<double>(s.spillBytesWritten) / (1 << 20),
                 static_cast<double>(s.spillBytesRead) / (1 << 20),
                 s.readStallSeconds * 1e3, s.writeStallSeconds * 1e3);
-    if (s.ioTransientRetries + s.ioEintrRetries + s.ioShortTransfers +
-            s.secondaryErrors >
-        0)
+    if (s.ioTransientRetries + s.ioEintrRetries + s.ioShortTransfers > 0)
         std::printf("io resilience: %llu transient retr%s, %llu EINTR "
-                    "retr%s, %llu short transfer(s), %llu secondary "
-                    "error(s)\n",
+                    "retr%s, %llu short transfer(s)\n",
                     static_cast<unsigned long long>(s.ioTransientRetries),
                     s.ioTransientRetries == 1 ? "y" : "ies",
                     static_cast<unsigned long long>(s.ioEintrRetries),
                     s.ioEintrRetries == 1 ? "y" : "ies",
-                    static_cast<unsigned long long>(s.ioShortTransfers),
-                    static_cast<unsigned long long>(s.secondaryErrors));
+                    static_cast<unsigned long long>(s.ioShortTransfers));
     if (!checkpoint_dir.empty()) {
         // The output is durable (FileSink::finish synced file and
         // directory); the checkpoint has served its purpose.

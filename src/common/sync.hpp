@@ -40,7 +40,6 @@
 #define BONSAI_COMMON_SYNC_HPP
 
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
 #include <mutex>
 
@@ -231,9 +230,9 @@ class CondVar
  * The latch distinguishes *primary* failures (the task that broke)
  * from *secondary* ones observed while unwinding — a quiesce wait in
  * a destructor, a cleanup release that itself failed.  First error
- * wins: exactly one exception comes out of rethrowIfSet; everything
- * suppressed behind it is counted for telemetry instead of being
- * silently dropped.
+ * wins: exactly one exception comes out of rethrowIfSet.  A secondary
+ * error is kept only while nothing else failed, and a primary one
+ * displaces it.
  */
 class ErrorTrap
 {
@@ -243,13 +242,9 @@ class ErrorTrap
     store(std::exception_ptr err) BONSAI_EXCLUDES(mutex_)
     {
         ScopedLock lock(mutex_);
-        if (error_ && primary_) {
-            ++secondary_; // an earlier failure won; count this one
-            return;
-        }
-        if (error_)
-            ++secondary_; // demote the held cleanup error
-        error_ = err;
+        if (error_ && primary_)
+            return; // an earlier failure won
+        error_ = err; // displaces a held cleanup error, if any
         primary_ = true;
     }
 
@@ -257,16 +252,14 @@ class ErrorTrap
      * Record an error observed during cleanup/unwind.  Never displaces
      * a primary failure: if nothing failed yet the error is held (a
      * cleanup failure on an otherwise clean path still fails the
-     * operation), otherwise it is only counted.
+     * operation), otherwise it is dropped.
      */
     void
     storeSecondary(std::exception_ptr err) BONSAI_EXCLUDES(mutex_)
     {
         ScopedLock lock(mutex_);
-        if (error_) {
-            ++secondary_;
+        if (error_)
             return;
-        }
         error_ = err;
         primary_ = false;
     }
@@ -286,19 +279,10 @@ class ErrorTrap
             std::rethrow_exception(err);
     }
 
-    /** Errors suppressed behind the winning one (telemetry). */
-    std::uint64_t
-    secondaryCount() const BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        return secondary_;
-    }
-
   private:
-    mutable Mutex mutex_;
+    Mutex mutex_;
     std::exception_ptr error_ BONSAI_GUARDED_BY(mutex_);
     bool primary_ BONSAI_GUARDED_BY(mutex_) = false;
-    std::uint64_t secondary_ BONSAI_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace bonsai

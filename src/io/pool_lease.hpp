@@ -1,15 +1,16 @@
 /**
  * @file
- * RAII lease of one io::BufferPool buffer — the adapter that lets
- * pool-backed batch buffers travel through pipeline stage queues.
+ * RAII lease of one io::BufferPool buffer — the one way the sorter
+ * holds a pool buffer (run cursors, stream writers, batch copies, the
+ * splitter's probe window).
  *
- * A raw acquire()d std::vector owes the pool a release(); holding it
- * inside a queue would leak the pool's outstanding count if the
- * pipeline unwinds with items still enqueued (BoundedQueue::poison
- * destroys pending items).  PoolLease makes the release part of the
- * item's destructor, so a poisoned queue, a dropped stage local, or a
- * normal recycle all return the buffer — BufferPool.outstanding()
- * reaches zero on every unwind path by construction.
+ * A raw acquire()d std::vector owes the pool a release() on every
+ * exit, the throwing ones included.  PoolLease makes the release part
+ * of its destructor, so a member, a local, or an item a poisoned
+ * BoundedQueue destroys all return the buffer — BufferPool's
+ * outstanding() count reaches zero on every unwind path by
+ * construction.  An owner whose buffer a background task may still be
+ * writing must wait for that task before the lease dies.
  *
  * Movable, not copyable: exactly one owner at a time, like the buffer
  * itself.

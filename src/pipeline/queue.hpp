@@ -1,22 +1,21 @@
 /**
  * @file
- * Bounded blocking queue connecting pipeline stages.
+ * Bounded blocking queue connecting the threads of a pipeline (the
+ * stream engine's phase-1 read, sort and spill loops).
  *
- * A BoundedQueue is the only edge type in a dataflow pipeline: the
- * producer stage push()es, the consumer pop()s, and the bounded
- * capacity is the pipeline's backpressure — a producer that outruns
- * its consumer blocks instead of buffering unboundedly, so resident
- * memory stays at capacity() items no matter how lopsided the stage
- * speeds are.  Seeded with recycled buffers and drained/refilled in a
- * cycle, the same queue doubles as a free list (the buffer-pool
- * pattern of the stream engine's phase-1 chunk ring).
+ * The producer push()es, the consumer pop()s, and the bounded
+ * capacity is the backpressure — a producer that outruns its consumer
+ * blocks instead of buffering unboundedly, so resident memory stays
+ * at capacity() items no matter how lopsided the loop speeds are.
+ * Seeded with recycled buffers and drained/refilled in a cycle, the
+ * same queue doubles as a free list (phase 1's chunk ring).
  *
  * Lifecycle: the producer close()s when done, after which pop()
  * drains the remaining items and then reports end-of-stream.  On
- * error, the pipeline's unwind path poison()s every queue: all
- * blocked and future operations throw PipelineAborted, which the
- * PipelineExecutor treats as unwind (not a new error), so exactly one
- * primary failure surfaces no matter how many stages were mid-push.
+ * error, the failing loop poison()s every queue: all blocked and
+ * future operations throw PipelineAborted, which the other loops
+ * treat as unwind (not a new error), so exactly one primary failure
+ * surfaces no matter how many loops were mid-push.
  *
  * Locking: the queue mutex is a leaf lock like every other in the
  * tree (see common/sync.hpp) — held only around the deque and flag
@@ -42,8 +41,8 @@ namespace bonsai::pipeline
 
 /**
  * Thrown by queue operations after poison(): the pipeline is
- * unwinding behind a primary error.  Stages let it propagate; the
- * executor absorbs it without recording a secondary error.
+ * unwinding behind a primary error.  Loop bodies let it propagate;
+ * whoever runs them absorbs it instead of storing it as an error.
  */
 class PipelineAborted : public std::exception
 {

@@ -9,13 +9,13 @@
  *   sorter/tournament.hpp     the shared loser-tree merge kernel
  *   sorter/merge_plan.hpp     Equation-10 shape, lanes, lane leases
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
- *   sorter/phase1_spill.hpp   phase 1 as a read->sort->spill pipeline
+ *   sorter/phase1_spill.hpp   phase 1: read, sort and spill loops
  *   sorter/phase2_merge.hpp   phase 2 merge passes and the final pass
  *
- * Phase 1 streams fixed-size chunks from a RecordSource through a
- * three-stage dataflow pipeline (pipeline/executor.hpp) — load, sort
- * in place with the BehavioralSorter, spill to a RunStore — with a
- * two-buffer recycle ring, so the spill write-back of chunk k
+ * Phase 1 streams fixed-size chunks from a RecordSource through
+ * three loops on their own threads, joined by bounded queues — load,
+ * sort in place with the BehavioralSorter, spill to a RunStore — with
+ * a two-buffer recycle ring, so the spill write-back of chunk k
  * overlaps the load+sort of chunk k+1 (the paper's double-buffered
  * data loader, writ large).
  *
@@ -107,10 +107,11 @@ class StreamEngine
      * Failure contract: any I/O or task failure — in a lane's
      * background worker, a prefetch cursor, a splitter probe, the
      * sink — unwinds to exactly one std::runtime_error thrown from
-     * here.  First error wins; errors observed while quiescing behind
-     * it are counted in StreamStats::secondaryErrors.  Every exit,
-     * failed or clean, first checks that all pool buffers came back:
-     * a leak throws a ContractViolation instead, in every build type.
+     * here.  First error wins: an error observed while quiescing
+     * behind it is dropped, and a cleanup error on an otherwise clean
+     * path fails the sort.  Every exit, failed or clean, first checks
+     * that all pool buffers came back: a leak throws a
+     * ContractViolation instead, in every build type.
      */
     StreamStats
     sortStream(io::RecordSource<RecordT> &source,
@@ -193,9 +194,10 @@ class StreamEngine
         for (unsigned i = 0; i < shape.lanes; ++i)
             lanes.push_back(std::make_unique<Lane>());
 
-        // Sort-wide first-error latch: every stage, cursor, writer
-        // and quiesce path records into this one trap, so the caller
-        // sees exactly one exception no matter how many lanes failed.
+        // Sort-wide first-error latch: every phase-1 loop, cursor,
+        // writer and quiesce path records into this one trap, so the
+        // caller sees exactly one exception no matter how many lanes
+        // failed.
         ErrorTrap trap;
         try {
             if (ckpt == nullptr || !ckpt->phase1Complete()) {
@@ -231,7 +233,6 @@ class StreamEngine
         stats.ioTransientRetries = retries.transientRetries;
         stats.ioEintrRetries = retries.eintrRetries;
         stats.ioShortTransfers = retries.shortTransfers;
-        stats.secondaryErrors = trap.secondaryCount();
         if (ckpt != nullptr) {
             stats.resumedChunks = ckpt->resumedChunks();
             stats.resumedPasses = ckpt->resumedPasses();

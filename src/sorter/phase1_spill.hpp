@@ -1,6 +1,6 @@
 /**
  * @file
- * Phase 1 of the out-of-core sort as a three-stage dataflow pipeline:
+ * Phase 1 of the out-of-core sort as three loops on three queues:
  *
  *   chunk reader  ->  chunk sorter  ->  spiller
  *        ^                                  |
@@ -16,15 +16,15 @@
  * while the spill write-back of chunk k overlaps the load and sort of
  * chunk k+1 (the paper's double-buffered data loader, writ large).
  *
- * All edges are pipeline::BoundedQueues run under one
- * PipelineExecutor: the first failing stage (a short-read contract, a
- * terminal record in the input, a spill-device error) poisons the
- * queues and becomes the sort's primary error; the other stages
- * unwind on PipelineAborted without polluting the secondary-error
- * tally.  FIFO edges with a single producer and consumer per queue
+ * Each loop runs on a thread of its own, and the edges are
+ * pipeline::BoundedQueues: the first failing loop (a short-read
+ * contract, a terminal record in the input, a spill-device error)
+ * becomes the sort's primary error and poisons all three queues; the
+ * other loops unwind on PipelineAborted, which is not an error of its
+ * own.  FIFO edges with a single producer and consumer per queue
  * keep chunks in input order, so runs land at the same offsets, in
  * the same order, with the same "phase-1 spill of chunk N" error
- * contexts as the pre-pipeline engine.
+ * contexts as a serial read-sort-spill loop.
  */
 
 #ifndef BONSAI_SORTER_PHASE1_SPILL_HPP
@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <string>
 #include <utility>
@@ -44,9 +45,7 @@
 #include "common/thread_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
-#include "pipeline/executor.hpp"
 #include "pipeline/queue.hpp"
-#include "pipeline/stage.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/checkpoint.hpp"
 #include "sorter/stream_stats.hpp"
@@ -71,8 +70,8 @@ class Phase1Spiller
      * Stream chunks of @p chunk records from @p source, sort each in
      * place on @p compute, and spill the sorted runs to @p store.
      * Fills the phase-1 fields of @p stats; the primary error of a
-     * failing run lands in @p trap and is rethrown from here once the
-     * pipeline has quiesced.
+     * failing run lands in @p trap and is rethrown from here once all
+     * three loops have returned.
      *
      * With a @p ckpt the phase resumes: chunks the journal already
      * records are skipped in the source (never re-read, never
@@ -122,33 +121,95 @@ class Phase1Spiller
             }
         }
 
-        Reader reader(source, free, loaded, par.batchRecords, total,
-                      chunk, start, base_index);
-        Sorter sorter(loaded, sorted, compute, par);
-        Spiller spiller(sorted, free, store, ckpt);
+        // The resumed attempt's runs come first (in chunk order), so
+        // the final run list covers the whole input.
+        std::vector<RunSpan> runs;
         if (ckpt && ckpt->resumed())
-            spiller.seedResumedRuns(store.runs());
-        pipeline::Stage *stages[] = {&reader, &sorter, &spiller};
-        const std::vector<pipeline::StageStats> stage_stats =
-            pipeline::PipelineExecutor::run(
-                stages, trap, [&free, &loaded, &sorted] {
-                    free.poison();
-                    loaded.poison();
-                    sorted.poison();
-                });
-        trap.rethrowIfSet();
-
-        stats.phase1RecordsMoved += sorter.recordsMoved();
-        stats.recordsMoved += sorter.recordsMoved();
-        // The reader starving on the buffer ring is the pipeline's
+            runs = store.runs();
+        BehavioralSorter<RecordT> sorter(par.phase1Ell, par.presortRun,
+                                         par.threads);
+        std::uint64_t moved = 0;
+        // The reader starving on the buffer ring is phase 1's
         // blocked-on-write-back time: a buffer is missing exactly
         // while its previous spill has not landed.
-        stats.writeStallSeconds += stage_stats[0].inStallSeconds;
+        double ring_stall = 0.0;
+
+        const auto read_chunks = [&] {
+            std::uint64_t offset = start;
+            std::uint64_t index = base_index;
+            while (offset < total) {
+                Chunk c = *free.pop(ring_stall);
+                c.offset = offset;
+                c.len = std::min<std::uint64_t>(chunk, total - offset);
+                c.index = index++;
+                fill(source, c, par.batchRecords, total);
+                offset += c.len;
+                loaded.push(std::move(c));
+            }
+            loaded.close();
+        };
+        // The compute pool is a different pool than the loops' own,
+        // so the in-place sort may parallelFor on it (nested
+        // parallelism is only banned within one pool).
+        const auto sort_chunks = [&] {
+            double starved = 0.0;
+            while (auto c = loaded.pop(starved)) {
+                const std::span<RecordT> keys(c->buf.data(), c->len);
+                moved += sorter.sort(keys, compute).recordsMoved;
+                sorted.push(std::move(*c));
+            }
+            sorted.close();
+        };
+        const auto spill_chunks = [&] {
+            double starved = 0.0;
+            while (auto c = sorted.pop(starved)) {
+                const std::string ctx =
+                    "phase-1 spill of chunk " + std::to_string(c->index);
+                store.writeAt(c->offset, c->buf.data(), c->len,
+                              ctx.c_str());
+                const RunSpan run{c->offset, c->len};
+                runs.push_back(run);
+                // Journal the chunk before its buffer recycles: once
+                // committed, a crash anywhere later never redoes it.
+                if (ckpt != nullptr)
+                    ckpt->commitChunk(run);
+                free.push(std::move(*c));
+            }
+        };
+
+        // One thread per loop: a pool of width 3 hands each index to
+        // its own thread (a thread only claims a second index after
+        // its first loop returned), so a loop blocked on a queue
+        // waits on a loop that runs already or that an idle pool
+        // thread will claim.
+        ThreadPool loops(3);
+        loops.parallelFor(3, [&](std::uint64_t i) {
+            try {
+                if (i == 0)
+                    read_chunks();
+                else if (i == 1)
+                    sort_chunks();
+                else
+                    spill_chunks();
+            } catch (const pipeline::PipelineAborted &) {
+                // Unwinding behind the primary error; absorbed.
+            } catch (...) {
+                trap.store(std::current_exception());
+                free.poison();
+                loaded.poison();
+                sorted.poison();
+            }
+        });
+        trap.rethrowIfSet();
+
+        stats.phase1RecordsMoved += moved;
+        stats.recordsMoved += moved;
+        stats.writeStallSeconds += ring_stall;
         // Durability point: a spill the device only buffered is not a
         // spill phase 2 can trust.
         store.flush("phase-1 spill flush");
-        stats.phase1Chunks = spiller.runs().size();
-        store.setRuns(std::move(spiller).takeRuns());
+        stats.phase1Chunks = runs.size();
+        store.setRuns(std::move(runs));
         stats.phase1Seconds +=
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t1)
@@ -165,168 +226,29 @@ class Phase1Spiller
         std::uint64_t index = 0;
     };
 
-    /** Stage 1: stream records into recycled chunk buffers. */
-    class Reader : public pipeline::Stage
+    /** Read @p c's records from @p source in batches of @p batch,
+     *  rejecting a short source and the terminal record. */
+    static void
+    fill(io::RecordSource<RecordT> &source, Chunk &c,
+         std::uint64_t batch, std::uint64_t total)
     {
-      public:
-        Reader(io::RecordSource<RecordT> &source,
-               pipeline::BoundedQueue<Chunk> &free,
-               pipeline::BoundedQueue<Chunk> &loaded,
-               std::uint64_t batch, std::uint64_t total,
-               std::uint64_t chunk, std::uint64_t start = 0,
-               std::uint64_t base_index = 0)
-            : pipeline::Stage("phase1-reader"), source_(&source),
-              free_(&free), loaded_(&loaded), batch_(batch),
-              total_(total), chunk_(chunk), start_(start),
-              baseIndex_(base_index)
-        {
+        std::uint64_t got = 0;
+        while (got < c.len) {
+            const std::uint64_t r = source.read(
+                c.buf.data() + got,
+                std::min<std::uint64_t>(batch, c.len - got));
+            if (r == 0)
+                contracts::fail("precondition", "source.read() != 0",
+                                __FILE__, __LINE__,
+                                "record source ended at record " +
+                                    std::to_string(c.offset + got) +
+                                    " but declared " +
+                                    std::to_string(total));
+            io::requireNoTerminals(c.buf.data() + got, r,
+                                   c.offset + got);
+            got += r;
         }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            std::uint64_t offset = start_;
-            std::uint64_t index = baseIndex_;
-            while (offset < total_) {
-                Chunk c = *pipeline::pull(*free_, stats);
-                c.offset = offset;
-                c.len = std::min<std::uint64_t>(chunk_,
-                                                total_ - offset);
-                c.index = index++;
-                fill(c, offset);
-                offset += c.len;
-                pipeline::emit(*loaded_, std::move(c), stats);
-            }
-            loaded_->close();
-        }
-
-      private:
-        void
-        fill(Chunk &c, std::uint64_t offset)
-        {
-            std::uint64_t got = 0;
-            while (got < c.len) {
-                const std::uint64_t r = source_->read(
-                    c.buf.data() + got,
-                    std::min<std::uint64_t>(batch_, c.len - got));
-                if (r == 0)
-                    contracts::fail(
-                        "precondition", "source.read() != 0",
-                        __FILE__, __LINE__,
-                        "record source ended at record " +
-                            std::to_string(offset + got) +
-                            " but declared " + std::to_string(total_));
-                io::requireNoTerminals(c.buf.data() + got, r,
-                                       offset + got);
-                got += r;
-            }
-        }
-
-        io::RecordSource<RecordT> *source_;
-        pipeline::BoundedQueue<Chunk> *free_;
-        pipeline::BoundedQueue<Chunk> *loaded_;
-        std::uint64_t batch_;
-        std::uint64_t total_;
-        std::uint64_t chunk_;
-        std::uint64_t start_;
-        std::uint64_t baseIndex_;
-    };
-
-    /** Stage 2: sort each chunk in place on the compute pool (a
-     *  different pool than the executor's — nested parallelism is
-     *  only banned within one pool). */
-    class Sorter : public pipeline::Stage
-    {
-      public:
-        Sorter(pipeline::BoundedQueue<Chunk> &loaded,
-               pipeline::BoundedQueue<Chunk> &sorted,
-               ThreadPool &compute, const Params &par)
-            : pipeline::Stage("phase1-sorter"), loaded_(&loaded),
-              sorted_(&sorted), compute_(&compute),
-              impl_(par.phase1Ell, par.presortRun, par.threads)
-        {
-        }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            while (auto c = pipeline::pull(*loaded_, stats)) {
-                const BehavioralStats s = impl_.sort(
-                    std::span<RecordT>(c->buf.data(), c->len),
-                    *compute_);
-                moved_ += s.recordsMoved;
-                pipeline::emit(*sorted_, std::move(*c), stats);
-            }
-            sorted_->close();
-        }
-
-        /** In-chunk sort moves, read after the pipeline joins. */
-        std::uint64_t recordsMoved() const { return moved_; }
-
-      private:
-        pipeline::BoundedQueue<Chunk> *loaded_;
-        pipeline::BoundedQueue<Chunk> *sorted_;
-        ThreadPool *compute_;
-        BehavioralSorter<RecordT> impl_;
-        std::uint64_t moved_ = 0;
-    };
-
-    /** Stage 3: spill sorted chunks and recycle their buffers. */
-    class Spiller : public pipeline::Stage
-    {
-      public:
-        Spiller(pipeline::BoundedQueue<Chunk> &sorted,
-                pipeline::BoundedQueue<Chunk> &free,
-                io::RunStore<RecordT> &store,
-                Checkpointer<RecordT> *ckpt = nullptr)
-            : pipeline::Stage("phase1-spiller"), sorted_(&sorted),
-              free_(&free), store_(&store), ckpt_(ckpt)
-        {
-        }
-
-        /** Adopt the resumed attempt's runs (in chunk order) so the
-         *  final run list covers the whole input. */
-        void
-        seedResumedRuns(const std::vector<RunSpan> &runs)
-        {
-            runs_ = runs;
-        }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            while (auto c = pipeline::pull(*sorted_, stats)) {
-                const std::string ctx =
-                    "phase-1 spill of chunk " +
-                    std::to_string(c->index);
-                store_->writeAt(c->offset, c->buf.data(), c->len,
-                                ctx.c_str());
-                const RunSpan run{c->offset, c->len};
-                runs_.push_back(run);
-                // Journal the chunk before its buffer recycles: once
-                // committed, a crash anywhere later never redoes it.
-                if (ckpt_ != nullptr)
-                    ckpt_->commitChunk(run);
-                pipeline::emit(*free_, std::move(*c), stats);
-            }
-        }
-
-        /** Spilled runs in chunk order (FIFO edges guarantee it). */
-        const std::vector<RunSpan> &runs() const { return runs_; }
-
-        std::vector<RunSpan>
-        takeRuns() &&
-        {
-            return std::move(runs_);
-        }
-
-      private:
-        pipeline::BoundedQueue<Chunk> *sorted_;
-        pipeline::BoundedQueue<Chunk> *free_;
-        io::RunStore<RecordT> *store_;
-        Checkpointer<RecordT> *ckpt_;
-        std::vector<RunSpan> runs_;
-    };
+    }
 };
 
 } // namespace bonsai::sorter

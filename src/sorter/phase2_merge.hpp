@@ -35,6 +35,7 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/checkpoint.hpp"
@@ -303,16 +304,12 @@ class Phase2Merger
         const std::string ctx = "batch-copy of run @" +
                                 std::to_string(run.offset) + "+" +
                                 std::to_string(run.length);
-        // First acquire in the initializer, second guarded: if it
-        // throws the first buffer still returns to the pool.
-        std::array<std::vector<RecordT>, 2> buf;
-        buf[0] = bufs_->acquire();
-        try {
-            buf[1] = bufs_->acquire();
-        } catch (...) {
-            bufs_->release(std::move(buf[0]));
-            throw;
-        }
+        // Both paths out wait on the gates before these leases
+        // return the buffers: the loop's final waits, or the catch
+        // below.
+        std::array<io::PoolLease<RecordT>, 2> buf = {
+            io::PoolLease<RecordT>(*bufs_),
+            io::PoolLease<RecordT>(*bufs_)};
         std::array<io::TaskGate, 2> gate;
         std::array<std::uint64_t, 2> len = {0, 0};
         try {
@@ -327,13 +324,13 @@ class Phase2Merger
                            ctx.c_str());
                 len[slot] = n;
                 io::TaskGate *g = &gate[slot];
-                const std::vector<RecordT> *b = &buf[slot];
+                const RecordT *b = buf[slot].data();
                 const std::uint64_t *l = &len[slot];
                 g->arm();
                 try {
                     writer.post([&out, g, b, l] {
                         try {
-                            out.write(b->data(), *l);
+                            out.write(b, *l);
                         } catch (...) {
                             g->fail(std::current_exception());
                             return;
@@ -361,12 +358,8 @@ class Phase2Merger
                     trap_->storeSecondary(std::current_exception());
                 }
             }
-            bufs_->release(std::move(buf[0]));
-            bufs_->release(std::move(buf[1]));
             throw;
         }
-        bufs_->release(std::move(buf[0]));
-        bufs_->release(std::move(buf[1]));
         tally.moved = run.length;
         return tally;
     }

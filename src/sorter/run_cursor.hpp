@@ -18,12 +18,12 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
 
 namespace bonsai::sorter
@@ -36,31 +36,21 @@ class RunCursor
     RunCursor(const io::RunStore<RecordT> &store, RunSpan span,
               io::BufferPool<RecordT> &pool, BackgroundWorker &reader,
               ErrorTrap *trap = nullptr)
-        : store_(&store), pool_(&pool), reader_(&reader), trap_(trap),
+        : store_(&store), reader_(&reader), trap_(trap),
           batch_(pool.batchRecords()), next_(span.offset),
-          end_(span.offset + span.length)
+          end_(span.offset + span.length), cur_(pool), pre_(pool)
     {
         ctx_ = "streaming run @" + std::to_string(span.offset) + "+" +
                std::to_string(span.length);
-        // Acquire and fill in the body, not the initializer list: a
-        // throwing initial read after list-acquired buffers would skip
-        // the destructor and leak the pool's outstanding count.
-        cur_ = pool.acquire();
-        try {
-            pre_ = pool.acquire();
-            curLen_ = std::min<std::uint64_t>(batch_, end_ - next_);
-            if (curLen_ > 0) {
-                store_->readAt(next_, cur_.data(), curLen_,
-                               ctx_.c_str());
-                next_ += curLen_;
-            }
-            schedulePrefetch();
-        } catch (...) {
-            if (!pre_.empty())
-                pool.release(std::move(pre_));
-            pool.release(std::move(cur_));
-            throw;
+        // A throw from here on leaves nothing in flight (a failed
+        // post reopens the gate), and the member leases return both
+        // buffers.
+        curLen_ = std::min<std::uint64_t>(batch_, end_ - next_);
+        if (curLen_ > 0) {
+            store_->readAt(next_, cur_.data(), curLen_, ctx_.c_str());
+            next_ += curLen_;
         }
+        schedulePrefetch();
     }
 
     RunCursor(const RunCursor &) = delete;
@@ -69,24 +59,22 @@ class RunCursor
     ~RunCursor()
     {
         // An in-flight prefetch still targets pre_; let it land before
-        // the buffers return to the pool.  Nobody will consume the
-        // data a failed prefetch was reading, but a device error must
-        // not vanish either: record it as a secondary error (first
-        // error wins).
+        // the leases return the buffers to the pool.  Nobody will
+        // consume the data a failed prefetch was reading, but a device
+        // error must not vanish either: record it as a secondary error
+        // (first error wins).
         try {
             gate_.wait();
         } catch (...) {
             if (trap_ != nullptr)
                 trap_->storeSecondary(std::current_exception());
         }
-        pool_->release(std::move(cur_));
-        pool_->release(std::move(pre_));
     }
 
     /** No more records in [span.offset, span.offset + span.length). */
     bool exhausted() const { return pos_ >= curLen_; }
 
-    const RecordT &head() const { return cur_[pos_]; }
+    const RecordT &head() const { return cur_.data()[pos_]; }
 
     void
     advance()
@@ -142,15 +130,14 @@ class RunCursor
     }
 
     const io::RunStore<RecordT> *store_;
-    io::BufferPool<RecordT> *pool_;
     BackgroundWorker *reader_;
     ErrorTrap *trap_;
     std::string ctx_;
     std::uint64_t batch_;
     std::uint64_t next_; ///< next store offset to fetch
     std::uint64_t end_;  ///< one past the run's last record
-    std::vector<RecordT> cur_;
-    std::vector<RecordT> pre_;
+    io::PoolLease<RecordT> cur_;
+    io::PoolLease<RecordT> pre_;
     std::uint64_t curLen_ = 0;
     std::uint64_t preLen_ = 0;
     std::uint64_t pos_ = 0;

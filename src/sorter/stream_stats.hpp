@@ -52,8 +52,6 @@ struct StreamStats
     std::uint64_t ioTransientRetries = 0; ///< EIO/EAGAIN retried
     std::uint64_t ioEintrRetries = 0;     ///< interrupted, retried
     std::uint64_t ioShortTransfers = 0;   ///< partial, resumed
-    /** Errors suppressed behind the first (propagated) one. */
-    std::uint64_t secondaryErrors = 0;
     /** Crash-consistency telemetry (checkpointed sorts only; all
      *  zero / empty when the sort ran without a job directory). */
     std::uint64_t resumedChunks = 0;  ///< phase-1 chunks not redone

@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/stream.hpp"
 
 namespace bonsai::sorter
@@ -32,19 +32,9 @@ class StreamWriter
     StreamWriter(io::RecordSink<RecordT> &sink,
                  io::BufferPool<RecordT> &pool, BackgroundWorker &writer,
                  ErrorTrap *trap = nullptr)
-        : sink_(&sink), pool_(&pool), worker_(&writer), trap_(trap),
-          batch_(pool.batchRecords())
+        : sink_(&sink), worker_(&writer), trap_(trap),
+          batch_(pool.batchRecords()), cur_(pool), flight_(pool)
     {
-        // Acquire in the body: if the second acquire throws, the
-        // destructor will not run, so the first buffer must be
-        // returned here to keep the pool's accounting balanced.
-        cur_ = pool.acquire();
-        try {
-            flight_ = pool.acquire();
-        } catch (...) {
-            pool.release(std::move(cur_));
-            throw;
-        }
     }
 
     StreamWriter(const StreamWriter &) = delete;
@@ -53,21 +43,20 @@ class StreamWriter
     ~StreamWriter()
     {
         // finish() reports errors on the normal path; a failure seen
-        // only here (unwind) is recorded instead of dropped.
+        // only here (unwind) is recorded instead of dropped.  The
+        // write in flight lands before the leases return the buffers.
         try {
             gate_.wait();
         } catch (...) {
             if (trap_ != nullptr)
                 trap_->storeSecondary(std::current_exception());
         }
-        pool_->release(std::move(cur_));
-        pool_->release(std::move(flight_));
     }
 
     void
     push(const RecordT &rec)
     {
-        cur_[len_++] = rec;
+        cur_.data()[len_++] = rec;
         if (len_ == batch_)
             flushBatch();
     }
@@ -113,12 +102,11 @@ class StreamWriter
     }
 
     io::RecordSink<RecordT> *sink_;
-    io::BufferPool<RecordT> *pool_;
     BackgroundWorker *worker_;
     ErrorTrap *trap_;
     std::uint64_t batch_;
-    std::vector<RecordT> cur_;
-    std::vector<RecordT> flight_;
+    io::PoolLease<RecordT> cur_;
+    io::PoolLease<RecordT> flight_;
     std::uint64_t len_ = 0;
     std::uint64_t flightLen_ = 0;
     io::TaskGate gate_;

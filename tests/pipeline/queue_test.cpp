@@ -109,7 +109,7 @@ TEST(BoundedQueue, PoisonReleasesPendingPoolLeases)
     // The unwind contract pool-backed pipelines rely on: items
     // stranded in a poisoned queue are destroyed, and RAII leases
     // return their buffers — outstanding() reaches zero without any
-    // stage running a cleanup path.
+    // consumer running a cleanup path.
     io::BufferPool<std::uint64_t> pool(
         16, 4 * 16 * sizeof(std::uint64_t)); // 4 buffers
     BoundedQueue<io::PoolLease<std::uint64_t>> q(4);
