@@ -107,6 +107,7 @@ BENCHMARK(BM_BonsaiBehavioral)
     ->Args({1 << 20, 16, 1})
     ->Args({1 << 20, 64, 1})
     ->Args({1 << 20, 256, 1})
+    ->Args({1 << 22, 128, 1})
     ->Args({1 << 22, 256, 1})
     ->Args({1 << 22, 256, 4})
     ->Args({1 << 22, 256, 8});

@@ -14,7 +14,7 @@
  * Merge Path slices, so both the many-small-group early stages and the
  * single-group final stage saturate all cores.  Output is byte-
  * identical for every thread count because slices follow the
- * (key, input index, position) total order the loser tree merges by.
+ * (key, input index, position) total order the merge tree merges by.
  */
 
 #ifndef BONSAI_SORTER_BEHAVIORAL_HPP
@@ -140,41 +140,52 @@ class BehavioralSorter
         const std::uint64_t stage_total = plan.totalRecords();
         const unsigned width = pool.threads();
 
-        struct SliceTask
+        // Slices reference their group's span list and Merge Path
+        // bounds; nothing is copied per slice.
+        struct Group
         {
             std::vector<std::span<const RecordT>> members;
-            std::vector<std::uint64_t> begin; ///< empty = full extent
-            std::vector<std::uint64_t> end;
+            /** Slice cut vectors; empty = one full-extent slice. */
+            std::vector<std::vector<std::uint64_t>> bounds;
+        };
+        struct SliceTask
+        {
+            const Group *group;
+            unsigned slice;
             RecordT *out;
         };
+        std::vector<Group> groups(plan.groups());
         std::vector<SliceTask> tasks;
         tasks.reserve(plan.groups());
         for (std::uint64_t g = 0; g < plan.groups(); ++g) {
-            std::vector<std::span<const RecordT>> members;
+            Group &group = groups[g];
             for (const RunSpan &run : plan.groupRuns(g))
-                members.emplace_back(src.data() + run.offset,
-                                     run.length);
+                group.members.emplace_back(src.data() + run.offset,
+                                           run.length);
             RecordT *base = dst.data() + out[g].offset;
             const unsigned slices =
                 sliceCount(out[g].length, stage_total, width);
             if (slices <= 1) {
-                tasks.push_back(
-                    SliceTask{std::move(members), {}, {}, base});
+                tasks.push_back(SliceTask{&group, 0, base});
                 continue;
             }
-            const MergePath<RecordT> path(members);
-            const auto bounds = path.partition(slices);
+            group.bounds =
+                MergePath<RecordT>(group.members).partition(slices);
             std::uint64_t rank = 0;
             for (unsigned t = 0; t < slices; ++t) {
-                tasks.push_back(SliceTask{members, bounds[t],
-                                          bounds[t + 1], base + rank});
+                tasks.push_back(SliceTask{&group, t, base + rank});
                 rank = out[g].length * (t + 1) / slices;
             }
         }
 
         pool.parallelFor(tasks.size(), [&](std::uint64_t i) {
-            mergeSlice(tasks[i].members, tasks[i].begin, tasks[i].end,
-                       tasks[i].out);
+            const SliceTask &task = tasks[i];
+            const Group &group = *task.group;
+            if (group.bounds.empty())
+                mergeSlice(group.members, {}, {}, task.out);
+            else
+                mergeSlice(group.members, group.bounds[task.slice],
+                           group.bounds[task.slice + 1], task.out);
         });
     }
 
@@ -265,8 +276,7 @@ class BehavioralSorter
                           out);
             return;
         }
-        LoserTree<RecordT> tree(
-            {members.begin(), members.end()}, begin, end);
+        LoserTree<RecordT> tree(members, begin, end);
         while (!tree.done())
             *out++ = tree.pop();
     }
@@ -283,7 +293,7 @@ class BehavioralSorter
  * @p pool.  Byte-identical to StreamEngine::sortStream with the same
  * fan-ins, presort and chunk length whenever the engine's buffer
  * budget admits phase 2's fan-in: both run the same StagePlan groups
- * in the same loser-tree order.  Reports the telemetry it has
+ * in the same merge-tree order.  Reports the telemetry it has
  * — chunks, records moved per phase, merge passes, phase times and
  * the phase-2 fan-in; the pool and batch fields stay 0.
  */

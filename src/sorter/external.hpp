@@ -6,7 +6,7 @@
  *   sorter/stream_stats.hpp   unified telemetry struct
  *   sorter/run_cursor.hpp     prefetching run cursor (2 pool buffers)
  *   sorter/stream_writer.hpp  double-buffered batch writer
- *   sorter/tournament.hpp     the shared loser-tree merge kernel
+ *   sorter/tournament.hpp     the shared merge-tree kernel
  *   sorter/merge_plan.hpp     Equation-10 shape, lanes, lane leases
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1: read, sort and spill loops
@@ -31,7 +31,7 @@
  *
  * The engine only streams.  Its in-memory counterpart is sortChunks
  * (sorter/behavioral.hpp): both run the same StagePlan groups in the
- * same loser-tree order, so a streamed sort is byte-identical to the
+ * same merge-tree order, so a streamed sort is byte-identical to the
  * in-memory sort of the same input whenever the buffer budget admits
  * the planned fan-in.
  *

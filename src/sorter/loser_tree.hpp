@@ -1,30 +1,28 @@
 /**
  * @file
- * Tournament (loser) tree for ell-way run merging over in-memory
- * spans — the software counterpart of the hardware merge tree, used
- * by the behavioral sorter for GB-scale correctness runs and live CPU
- * measurements.
+ * ell-way run merging over in-memory spans — the software counterpart
+ * of the hardware merge tree, used by the behavioral sorter for
+ * GB-scale correctness runs and live CPU measurements.
  *
- * The tree logic itself lives in sorter/tournament.hpp (the one
- * tournament-tree implementation in the repo, shared with the
- * out-of-core streamed merge); this class supplies the span cursor
- * set: per-input [begin, end) positions, optionally range-limited to
- * a Merge Path slice.
+ * The merge itself is the buffered tree of branch-free 2-way mergers
+ * in sorter/tournament.hpp (the one merge kernel in the repo, shared
+ * with the out-of-core streamed merge); this class supplies the span
+ * cursor set: one window of unread records per input, optionally
+ * range-limited to a Merge Path slice.
  *
- * Equal keys are broken by input index, so the tree emits the unique
- * sequence ordered by (key, input index, position) — the same
- * augmented total order the Merge Path partitioner cuts on.  That
- * makes the output independent of how a merge is sliced across
- * threads: a range-limited tree per slice (bounded-cursor
- * constructor) reproduces exactly the records the whole-merge tree
- * would emit in that output range.
+ * Each 2-way merger lets its left input win ties and the leaves sit
+ * in input order, so the tree emits the unique sequence ordered by
+ * (key, input index, position) — the same augmented total order the
+ * Merge Path partitioner cuts on.  That makes the output independent
+ * of how a merge is sliced across threads: a range-limited tree per
+ * slice (bounded-cursor constructor) reproduces exactly the records
+ * the whole-merge tree would emit in that output range.
  */
 
 #ifndef BONSAI_SORTER_LOSER_TREE_HPP
 #define BONSAI_SORTER_LOSER_TREE_HPP
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -51,78 +49,69 @@ class LoserTree
      * @p end default to the full extent.
      */
     LoserTree(std::vector<std::span<const RecordT>> inputs,
-              std::vector<std::uint64_t> begin,
-              std::vector<std::uint64_t> end)
-        : cursors_(std::move(inputs), std::move(begin),
-                   std::move(end))
+              const std::vector<std::uint64_t> &begin,
+              const std::vector<std::uint64_t> &end)
+        : cursors_(std::move(inputs), begin, end), tree_(cursors_)
     {
-        tree_.emplace(cursors_);
     }
 
+    /** The tree points into this object's cursor set. */
+    LoserTree(const LoserTree &) = delete;
+    LoserTree &operator=(const LoserTree &) = delete;
+
     /** True when all inputs are exhausted. */
-    bool done() const { return tree_->done(); }
+    bool done() const { return tree_.done(); }
 
     /** Pop the globally smallest record. */
-    RecordT pop() { return tree_->pop(); }
+    RecordT pop() { return tree_.pop(); }
 
   private:
-    /** Span cursor set: TournamentTree's view of the inputs. */
+    /** Span cursor set: TournamentTree's view of the inputs, one
+     *  window of unread records per input. */
     class SpanCursors
     {
       public:
         SpanCursors(std::vector<std::span<const RecordT>> inputs,
-                    std::vector<std::uint64_t> begin,
-                    std::vector<std::uint64_t> end)
-            : inputs_(std::move(inputs))
+                    const std::vector<std::uint64_t> &begin,
+                    const std::vector<std::uint64_t> &end)
+            : windows_(std::move(inputs))
         {
             BONSAI_REQUIRE(begin.size() == end.size(),
                            "cursor bound vectors must pair up");
-            BONSAI_REQUIRE(begin.empty() ||
-                               begin.size() == inputs_.size(),
-                           "one cursor range per input");
-            if (begin.empty()) {
-                pos_.assign(inputs_.size(), 0);
-                end_.reserve(inputs_.size());
-                for (const auto &in : inputs_)
-                    end_.push_back(in.size());
+            if (begin.empty())
                 return;
-            }
-            pos_ = std::move(begin);
-            end_ = std::move(end);
-            for (std::size_t i = 0; i < inputs_.size(); ++i) {
-                BONSAI_REQUIRE(pos_[i] <= end_[i],
+            BONSAI_REQUIRE(begin.size() == windows_.size(),
+                           "one cursor range per input");
+            for (std::size_t i = 0; i < windows_.size(); ++i) {
+                BONSAI_REQUIRE(begin[i] <= end[i],
                                "cursor range must not be inverted");
-                BONSAI_REQUIRE(end_[i] <= inputs_[i].size(),
+                BONSAI_REQUIRE(end[i] <= windows_[i].size(),
                                "cursor range exceeds its input");
+                windows_[i] =
+                    windows_[i].subspan(begin[i], end[i] - begin[i]);
             }
         }
 
-        std::size_t size() const { return inputs_.size(); }
+        std::size_t size() const { return windows_.size(); }
 
-        bool
-        exhausted(std::size_t i) const
+        std::span<const RecordT>
+        window(std::size_t i) const
         {
-            return pos_[i] >= end_[i];
+            return windows_[i];
         }
 
-        const RecordT &
-        head(std::size_t i) const
+        void
+        consume(std::size_t i, std::size_t n)
         {
-            return inputs_[i][pos_[i]];
+            windows_[i] = windows_[i].subspan(n);
         }
-
-        void advance(std::size_t i) { ++pos_[i]; }
 
       private:
-        std::vector<std::span<const RecordT>> inputs_;
-        std::vector<std::uint64_t> pos_; ///< next unread position
-        std::vector<std::uint64_t> end_; ///< one past the last
+        std::vector<std::span<const RecordT>> windows_;
     };
 
     SpanCursors cursors_;
-    /** Built after cursors_ (member order); optional only because the
-     *  tree needs the finished cursor set at construction. */
-    std::optional<TournamentTree<RecordT, SpanCursors>> tree_;
+    TournamentTree<RecordT, SpanCursors> tree_; ///< after cursors_
 };
 
 } // namespace bonsai::sorter

@@ -18,7 +18,7 @@
  *
  *     (key, input index, position within input)
  *
- * which has no ties (index/position pairs are unique).  The loser tree
+ * which has no ties (index/position pairs are unique).  The merge tree
  * breaks equal keys by input index too, so the concatenation of the
  * slice merges is byte-identical to the serial merge for any slice
  * count — including all-equal-key inputs.

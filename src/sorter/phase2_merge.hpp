@@ -14,9 +14,10 @@
  *    output rank — byte-identical to the serial tournament for any
  *    lane count, including equal-key floods.
  *
- * The tournament itself is the shared kernel in sorter/tournament.hpp
- * (the same tree LoserTree instantiates over spans), run here over a
- * set of prefetching RunCursors.
+ * The merge itself is the shared kernel in sorter/tournament.hpp
+ * (the same buffered 2-way merge tree LoserTree instantiates over
+ * spans), run here over a set of prefetching RunCursors whose
+ * windows are their current batches.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP
@@ -26,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,19 +132,17 @@ class Phase2Merger
 
         std::size_t size() const { return cursors_->size(); }
 
-        bool
-        exhausted(std::size_t i) const
+        std::span<const RecordT>
+        window(std::size_t i) const
         {
-            return (*cursors_)[i]->exhausted();
+            return (*cursors_)[i]->window();
         }
 
-        const RecordT &
-        head(std::size_t i) const
+        void
+        consume(std::size_t i, std::size_t n)
         {
-            return (*cursors_)[i]->head();
+            (*cursors_)[i]->consume(n);
         }
-
-        void advance(std::size_t i) { (*cursors_)[i]->advance(); }
 
       private:
         std::vector<std::unique_ptr<RunCursor<RecordT>>> *cursors_;
@@ -365,7 +365,7 @@ class Phase2Merger
     }
 
     /** Stream-merge one group of runs from @p src into @p out via
-     *  the shared tournament kernel. */
+     *  the shared merge-tree kernel. */
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
                const std::vector<RunSpan> &members,

@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "common/contract.hpp"
 #include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -71,15 +73,23 @@ class RunCursor
         }
     }
 
-    /** No more records in [span.offset, span.offset + span.length). */
-    bool exhausted() const { return pos_ >= curLen_; }
-
-    const RecordT &head() const { return cur_.data()[pos_]; }
-
-    void
-    advance()
+    /** The unread records of the current batch; empty once the
+     *  whole run [span.offset, span.offset + span.length) is
+     *  consumed.  Valid until the next consume(). */
+    std::span<const RecordT>
+    window() const
     {
-        ++pos_;
+        return {cur_.data() + pos_, cur_.data() + curLen_};
+    }
+
+    /** Drop the first @p n records of window(); emptying the batch
+     *  swaps in the prefetched one. */
+    void
+    consume(std::uint64_t n)
+    {
+        BONSAI_REQUIRE(n <= curLen_ - pos_,
+                       "consume beyond the cursor's window");
+        pos_ += n;
         if (pos_ == curLen_)
             refill();
     }
@@ -92,7 +102,7 @@ class RunCursor
     refill()
     {
         if (preLen_ == 0)
-            return; // run fully consumed: exhausted() is now true
+            return; // run fully consumed: window() is now empty
         stall_ += gate_.wait();
         std::swap(cur_, pre_);
         curLen_ = preLen_;

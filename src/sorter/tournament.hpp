@@ -1,38 +1,53 @@
 /**
  * @file
- * The tournament (loser) tree merge kernel — the one place the
- * augmented (key, input index, position) selection order is
- * implemented (Knuth TAOCP Vol. 3, 5.4.1).
+ * The merge kernel — a software AMT(1, ell): a complete binary tree
+ * of 2-way mergers with a small record buffer between levels, the
+ * one place the augmented (key, input index, position) selection
+ * order is implemented (paper "k-mergers", "AMT(p, ell)"; FLiMS).
  *
- * Structure: leaves are input cursors, internal nodes store the loser
- * of their subtree's tournament, the overall winner is kept outside
- * the tree.  Each pop replays only the winner's root path:
- * O(log ell) comparisons.
+ * Structure: leaves are input cursors; each internal node owns a
+ * buffer of kNodeRecords records that it refills from its two
+ * children with a branch-free 2-way merge.  A refill runs
+ * min(left, right, room) steps with no bounds check inside: each step
+ * selects the source pointer by indexing a two-entry table with the
+ * comparison result (no branch on the outcome) and copies one
+ * record.  A child whose buffer runs dry is refilled recursively, so
+ * records flow up the tree in buffer-sized bursts instead of one
+ * root-path replay per record.  pop() reads the root's buffer.
  *
- * Equal keys are broken by input index, so the tree emits the unique
- * sequence ordered by (key, input index, position) — the same
- * augmented total order the Merge Path partitioner cuts on.  Both the
- * in-memory `LoserTree` (span cursors) and the out-of-core streamed
- * merge (prefetching `RunCursor`s) instantiate this kernel, which is
- * why a streamed merge is byte-identical to the in-memory merge of
- * the same runs.
+ * The left input wins ties, and leaves sit in input order, so every
+ * node emits its subtree's records in (key, input index, position)
+ * order — the same augmented total order the Merge Path partitioner
+ * and the final-pass splitters cut on.  Both the in-memory
+ * `LoserTree` (span cursors) and the out-of-core streamed merge
+ * (prefetching `RunCursor`s) instantiate this kernel, which is why a
+ * streamed merge is byte-identical to the in-memory merge of the same
+ * runs.
+ *
+ * Node buffers are capped at kNodeBufferBytes each (8 to 64 records),
+ * allocated once per tree and never value-initialized.
  *
  * The cursor-set parameter provides the merge's view of its inputs:
  *
- *   std::size_t size() const;            // number of input cursors
- *   bool exhausted(std::size_t i) const; // cursor i has no head
- *   const RecordT &head(std::size_t i) const;
- *   void advance(std::size_t i);         // consume cursor i's head
+ *   std::size_t size() const;              // number of input cursors
+ *   std::span<const RecordT> window(std::size_t i) const;
+ *                                          // ready records of cursor
+ *                                          // i; empty = exhausted
+ *   void consume(std::size_t i, std::size_t n);
+ *                                          // drop n <= window size
  *
- * head()/advance() are only called on non-exhausted cursors, and
- * head() must stay valid until the next advance() on the same cursor.
+ * A window must stay valid until the next consume() on its cursor.
  */
 
 #ifndef BONSAI_SORTER_TOURNAMENT_HPP
 #define BONSAI_SORTER_TOURNAMENT_HPP
 
+#include <algorithm>
 #include <cstddef>
-#include <utility>
+#include <memory>
+#include <new>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -43,91 +58,145 @@ namespace bonsai::sorter
 template <typename RecordT, typename CursorSetT>
 class TournamentTree
 {
+    static_assert(std::is_trivially_copyable_v<RecordT> &&
+                      std::is_trivially_destructible_v<RecordT>,
+                  "node buffers hold records in raw storage");
+    static_assert(alignof(RecordT) <=
+                      __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "node buffers use the default new alignment");
+
   public:
-    /** Build the initial tournament over @p cursors (held by
-     *  reference for the tree's lifetime). */
+    /** Byte cap of one internal node's buffer. */
+    static constexpr std::size_t kNodeBufferBytes = 2048;
+    /** Records per internal node buffer. */
+    static constexpr std::size_t kNodeRecords = std::clamp<std::size_t>(
+        kNodeBufferBytes / sizeof(RecordT), 8, 64);
+
+    /** Build the tree over @p cursors (held by reference for the
+     *  tree's lifetime) and fill the root. */
     explicit TournamentTree(CursorSetT &cursors) : cursors_(&cursors)
     {
-        ways_ = 1;
         while (ways_ < cursors_->size())
             ways_ *= 2;
-        tree_.assign(ways_, kEmpty);
-        winner_ = buildTournament(1);
+        nodes_.resize(ways_);
+        store_.reset(static_cast<RecordT *>(::operator new(
+            (ways_ - 1) * kNodeRecords * sizeof(RecordT))));
+        fill(1);
     }
 
     /** True when all cursors are exhausted. */
-    bool done() const { return winner_ == kEmpty; }
+    bool done() const { return nodes_[1].head == nodes_[1].tail; }
 
     /** Pop the globally smallest record in the augmented order. */
     RecordT
     pop()
     {
         BONSAI_REQUIRE(!done(), "pop from an exhausted tournament");
-        const std::size_t src = winner_;
-        const RecordT out = cursors_->head(src);
-        cursors_->advance(src);
-        std::size_t candidate =
-            cursors_->exhausted(src) ? kEmpty : src;
-        // Replay the winner's root path against the stored losers.
-        for (std::size_t node = (src + ways_) / 2; node >= 1;
-             node /= 2) {
-            if (beats(tree_[node], candidate))
-                std::swap(tree_[node], candidate);
-        }
-        winner_ = candidate;
+        Node &root = nodes_[1];
+        const RecordT out = *root.head++;
+        if (root.head == root.tail && !root.drained)
+            fill(1);
         return out;
     }
 
   private:
-    static constexpr std::size_t kEmpty =
-        static_cast<std::size_t>(-1);
-
-    /** Does cursor @p a beat cursor @p b?  Smaller head wins; equal
-     *  keys go to the lower input index (augmented order). */
-    bool
-    beats(std::size_t a, std::size_t b) const
+    /** One internal node: its buffered records [head, tail). */
+    struct Node
     {
-        if (a == kEmpty)
-            return false;
-        if (b == kEmpty)
-            return true;
-        if (cursors_->head(a) < cursors_->head(b))
-            return true;
-        if (cursors_->head(b) < cursors_->head(a))
-            return false;
-        return a < b;
+        const RecordT *head = nullptr;
+        const RecordT *tail = nullptr;
+        bool drained = false; ///< both children are exhausted
+    };
+
+    struct ReleaseStore
+    {
+        void operator()(RecordT *p) const noexcept { ::operator delete(p); }
+    };
+
+    /** @p right ? @p b : @p a, computed as data: a branch here
+     *  would mispredict on about half the records. */
+    static const RecordT *
+    pick(const RecordT *a, const RecordT *b, bool right)
+    {
+        const RecordT *const pair[2] = {a, b};
+        return pair[static_cast<std::size_t>(right)];
     }
 
-    /** Cursor at leaf slot @p slot, or kEmpty. */
-    std::size_t
-    slotSource(std::size_t slot) const
+    /** Ready records of tree position @p pos (a leaf cursor or an
+     *  internal node, refilled when dry); empty = exhausted. */
+    std::span<const RecordT>
+    input(std::size_t pos)
     {
-        if (slot < cursors_->size() && !cursors_->exhausted(slot))
-            return slot;
-        return kEmpty;
-    }
-
-    /** Bottom-up initial tournament; returns the subtree winner and
-     *  records losers on the way up. */
-    std::size_t
-    buildTournament(std::size_t node)
-    {
-        if (node >= ways_)
-            return slotSource(node - ways_);
-        const std::size_t left = buildTournament(2 * node);
-        const std::size_t right = buildTournament(2 * node + 1);
-        if (beats(left, right)) {
-            tree_[node] = right;
-            return left;
+        if (pos >= ways_) {
+            const std::size_t slot = pos - ways_;
+            if (slot >= cursors_->size())
+                return {};
+            return cursors_->window(slot);
         }
-        tree_[node] = left;
-        return right;
+        Node &n = nodes_[pos];
+        if (n.head == n.tail && !n.drained)
+            fill(pos);
+        return {n.head, n.tail};
+    }
+
+    /** Drop the first @p count records of input(@p pos). */
+    void
+    take(std::size_t pos, std::size_t count)
+    {
+        if (count == 0)
+            return;
+        if (pos >= ways_)
+            cursors_->consume(pos - ways_, count);
+        else
+            nodes_[pos].head += count;
+    }
+
+    /** Refill internal node @p node's (empty) buffer by merging its
+     *  two children; the left child wins ties. */
+    void
+    fill(std::size_t node)
+    {
+        RecordT *const base = store_.get() + (node - 1) * kNodeRecords;
+        RecordT *out = base;
+        RecordT *const stop = base + kNodeRecords;
+        const std::size_t lc = 2 * node;
+        const std::size_t rc = lc + 1;
+        while (out != stop) {
+            const std::span<const RecordT> l = input(lc);
+            const std::span<const RecordT> r = input(rc);
+            const auto room = static_cast<std::size_t>(stop - out);
+            if (l.empty() || r.empty()) {
+                const std::span<const RecordT> rest = l.empty() ? r : l;
+                if (rest.empty()) {
+                    nodes_[node].drained = true;
+                    break;
+                }
+                const std::size_t n = std::min(rest.size(), room);
+                out = std::copy_n(rest.data(), n, out);
+                take(l.empty() ? rc : lc, n);
+                continue;
+            }
+            const std::size_t steps =
+                std::min({l.size(), r.size(), room});
+            const RecordT *a = l.data();
+            const RecordT *b = r.data();
+            for (std::size_t k = 0; k < steps; ++k) {
+                const bool right = *b < *a;
+                *out++ = *pick(a, b, right);
+                a += !right;
+                b += right;
+            }
+            take(lc, static_cast<std::size_t>(a - l.data()));
+            take(rc, static_cast<std::size_t>(b - r.data()));
+        }
+        nodes_[node].head = base;
+        nodes_[node].tail = out;
     }
 
     CursorSetT *cursors_;
-    std::vector<std::size_t> tree_; ///< losers, heap-indexed
-    std::size_t ways_ = 1;
-    std::size_t winner_ = kEmpty;
+    std::size_t ways_ = 2; ///< leaf slots: a power of two, at least 2
+    std::vector<Node> nodes_; ///< heap-indexed; [0] unused
+    std::unique_ptr<RecordT, ReleaseStore> store_; ///< node buffers
 };
 
 } // namespace bonsai::sorter

@@ -117,6 +117,41 @@ TEST(StreamEngine, StreamedOutputIsByteIdenticalToInPlace)
               n_bytes * stats.mergePasses + n_bytes / 10);
 }
 
+TEST(StreamEngine, DuplicateKeyRunsMergeInStableOrder)
+{
+    // A stable configuration: phase 1 merges each 64-record chunk
+    // from unit runs in one 64-way group, and phase 2 merges all 64
+    // chunk runs, in chunk order, in one pass.  Every merge takes ties
+    // in (key, input index, position) order, so the output must equal
+    // std::stable_sort of the input, an oracle that shares no code
+    // with the merge kernel.  Duplicate keys flood every merge with
+    // ties, and 3-record batches put run-cursor batch edges inside
+    // the tied stretches.
+    for (const Distribution dist :
+         {Distribution::FewDistinct, Distribution::AllEqual}) {
+        for (const unsigned threads : {1U, 3U}) {
+            StreamEngine<Record>::Options opt;
+            opt.presortRun = 1;
+            opt.phase1Ell = 64;
+            opt.phase2Ell = 64;
+            opt.chunkRecords = 64;
+            opt.batchRecords = 3;
+            opt.bufferBudgetBytes = 1024 * 3 * sizeof(Record);
+            opt.threads = threads;
+            const auto data = makeRecords(64 * 64, dist);
+            auto want = data;
+            std::stable_sort(want.begin(), want.end());
+            StreamStats stats;
+            EXPECT_EQ(streamSort(StreamEngine<Record>(opt), data,
+                                 &stats),
+                      want)
+                << "threads " << threads;
+            EXPECT_EQ(stats.effectiveEll, 64U);
+            EXPECT_EQ(stats.mergePasses, 1U);
+        }
+    }
+}
+
 TEST(StreamEngine, SerialStreamSpillAccountingIsExact)
 {
     // threads = 1 forces one lane and a serial final pass: no

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "common/random.hpp"
 #include "sorter/loser_tree.hpp"
+#include "sorter/merge_path.hpp"
 
 namespace bonsai
 {
 namespace
 {
+
+using Runs = std::vector<std::vector<Record>>;
 
 std::vector<Record>
 drain(sorter::LoserTree<Record> &tree)
@@ -21,21 +26,59 @@ drain(sorter::LoserTree<Record> &tree)
     return out;
 }
 
-void
-checkMerge(const std::vector<std::vector<Record>> &runs)
+std::vector<std::span<const Record>>
+spansOf(const Runs &runs)
 {
     std::vector<std::span<const Record>> spans;
-    std::vector<Record> expect;
-    for (const auto &run : runs) {
+    for (const auto &run : runs)
         spans.emplace_back(run);
-        expect.insert(expect.end(), run.begin(), run.end());
-    }
-    std::sort(expect.begin(), expect.end());
-    sorter::LoserTree<Record> tree(std::move(spans));
-    const auto got = drain(tree);
-    ASSERT_EQ(got.size(), expect.size());
+    return spans;
+}
+
+/** The independent oracle: the inputs concatenated in input order,
+ *  then stable-sorted by key — i.e. the (key, input index, position)
+ *  order, computed without the merge tree. */
+std::vector<Record>
+stableOracle(const Runs &runs)
+{
+    std::vector<Record> all;
+    for (const auto &run : runs)
+        all.insert(all.end(), run.begin(), run.end());
+    std::stable_sort(all.begin(), all.end());
+    return all;
+}
+
+void
+expectRecords(const std::vector<Record> &got,
+              const std::vector<Record> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
     for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i].key, expect[i].key);
+        ASSERT_EQ(got[i], want[i]) << what << ": record " << i;
+}
+
+/** Whole records — key and payload — of the full-extent tree and of
+ *  Merge-Path-bounded trees (slices concatenated) against the
+ *  stable-sort oracle. */
+void
+checkMerge(const Runs &runs)
+{
+    const std::vector<Record> want = stableOracle(runs);
+    sorter::LoserTree<Record> tree(spansOf(runs));
+    expectRecords(drain(tree), want, "full extent");
+    for (unsigned parts : {2U, 5U}) {
+        const sorter::MergePath<Record> path(spansOf(runs));
+        const auto bounds = path.partition(parts);
+        std::vector<Record> got;
+        for (unsigned t = 0; t < parts; ++t) {
+            sorter::LoserTree<Record> slice(spansOf(runs), bounds[t],
+                                            bounds[t + 1]);
+            const auto part = drain(slice);
+            got.insert(got.end(), part.begin(), part.end());
+        }
+        expectRecords(got, want,
+                      std::to_string(parts) + " Merge Path slices");
+    }
 }
 
 std::vector<Record>
@@ -58,7 +101,7 @@ TEST(LoserTree, NonPowerOfTwoWays)
 
 TEST(LoserTree, ManyWays)
 {
-    std::vector<std::vector<Record>> runs;
+    Runs runs;
     for (int i = 0; i < 64; ++i)
         runs.push_back(sortedRun(29 + (i % 7), 100 + i));
     checkMerge(runs);
@@ -79,6 +122,7 @@ TEST(LoserTree, AllEmpty)
     std::vector<std::span<const Record>> spans(3);
     sorter::LoserTree<Record> tree(std::move(spans));
     EXPECT_TRUE(tree.done());
+    checkMerge({{}, {}, {}});
 }
 
 TEST(LoserTree, DuplicateKeysAcrossRuns)
@@ -101,7 +145,7 @@ class LoserTreeWays : public ::testing::TestWithParam<int>
 
 TEST_P(LoserTreeWays, RandomRuns)
 {
-    std::vector<std::vector<Record>> runs;
+    Runs runs;
     for (int i = 0; i < GetParam(); ++i)
         runs.push_back(sortedRun(50, 200 + i));
     checkMerge(runs);
@@ -110,6 +154,44 @@ TEST_P(LoserTreeWays, RandomRuns)
 INSTANTIATE_TEST_SUITE_P(Fanins, LoserTreeWays,
                          ::testing::Values(2, 3, 4, 7, 8, 15, 16, 31,
                                            33, 256));
+
+/** Tie order under heavy duplication: (fan-in, key distribution). */
+class LoserTreeTies
+    : public ::testing::TestWithParam<std::tuple<int, Distribution>>
+{
+};
+
+TEST_P(LoserTreeTies, MatchesStableSortOracle)
+{
+    const auto [fanin, dist] = GetParam();
+    Runs runs;
+    for (int i = 0; i < fanin; ++i) {
+        // Every fifth run is empty and every fifth holds one record;
+        // the rest outlast several node-buffer refills.
+        const std::size_t len =
+            i % 5 == 3 ? 0 : (i % 5 == 4 ? 1 : 70 + (i * 37) % 200);
+        auto run = makeRecords(len, dist, 300 + i);
+        std::sort(run.begin(), run.end());
+        // The payload names the record's input and position, so any
+        // tie taken in the wrong order shows.
+        for (std::size_t p = 0; p < run.size(); ++p)
+            run[p].value = (static_cast<std::uint64_t>(i) << 32) | p;
+        runs.push_back(std::move(run));
+    }
+    checkMerge(runs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fanins, LoserTreeTies,
+    ::testing::Combine(::testing::Values(1, 2, 3, 16, 128, 256),
+                       ::testing::Values(Distribution::AllEqual,
+                                         Distribution::FewDistinct)),
+    [](const auto &tp) {
+        return std::to_string(std::get<0>(tp.param)) +
+            (std::get<1>(tp.param) == Distribution::AllEqual
+                 ? "_AllEqual"
+                 : "_FewDistinct");
+    });
 
 } // namespace
 } // namespace bonsai
