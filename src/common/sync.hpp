@@ -4,7 +4,7 @@
  * are allowed, wrapped as Clang thread-safety *capabilities*.
  *
  * Every mutex-holding type in the tree (ThreadPool, BackgroundWorker,
- * TaskGate, BufferPool, LaneLeases, ...) declares its lock as a
+ * TaskGate, BufferPool, ErrorTrap, ...) declares its lock as a
  * bonsai::Mutex, its guarded members with BONSAI_GUARDED_BY, and its
  * locking methods with BONSAI_ACQUIRE / BONSAI_RELEASE /
  * BONSAI_REQUIRES / BONSAI_EXCLUDES.  Under Clang's -Wthread-safety
@@ -24,8 +24,8 @@
  * public entry points are annotated BONSAI_EXCLUDES(their mutex) and
  * no critical section acquires a second lock, so no cross-object
  * lock-order cycle can exist by construction.  Blocking *resource*
- * acquisition still has an order (thread pool -> lane lease -> buffer
- * pool -> task gate); the analyzer enforces intra-object edges
+ * acquisition still has an order (thread pool task -> buffer pool ->
+ * task gate); the analyzer enforces intra-object edges
  * declared with BONSAI_ACQUIRED_BEFORE, and the hierarchy itself is
  * documented there.
  *

@@ -208,10 +208,11 @@ class ThreadPool
 /**
  * One persistent background thread executing posted closures in FIFO
  * order — the I/O side of the streaming sorter's double buffering.
- * The out-of-core engine (sorter/external.hpp) posts spill writes and
- * run prefetches here so storage traffic overlaps merge compute on
- * the submitting thread; completion of an individual task is signaled
- * through state owned by the closure itself (see io::TaskGate).
+ * The out-of-core engine's phase-2 lanes post run prefetches and
+ * write-backs here through sorter::DoubleBuffer, so storage traffic
+ * overlaps merge compute on the submitting thread; completion of an
+ * individual task is signaled through state owned by the closure's
+ * owner (DoubleBuffer's io::TaskGate).
  *
  * Tasks should not throw: an escaped exception is captured and
  * rethrown from the next drain() call (the destructor discards it),

@@ -1,7 +1,7 @@
 /**
  * @file
  * RAII lease of one io::BufferPool buffer — the one way the sorter
- * holds a pool buffer (run cursors, stream writers, batch copies, the
+ * holds a pool buffer (the two halves of a sorter::DoubleBuffer, the
  * splitter's probe window).
  *
  * A raw acquire()d std::vector owes the pool a release() on every
@@ -43,11 +43,9 @@ class PoolLease
     }
 
     PoolLease(PoolLease &&other) noexcept
-        : pool_(other.pool_), buf_(std::move(other.buf_)),
-          len_(other.len_)
+        : pool_(other.pool_), buf_(std::move(other.buf_))
     {
         other.pool_ = nullptr;
-        other.len_ = 0;
     }
 
     PoolLease &
@@ -57,9 +55,7 @@ class PoolLease
             reset();
             pool_ = other.pool_;
             buf_ = std::move(other.buf_);
-            len_ = other.len_;
             other.pool_ = nullptr;
-            other.len_ = 0;
         }
         return *this;
     }
@@ -69,20 +65,11 @@ class PoolLease
 
     ~PoolLease() { reset(); }
 
-    /** True when a buffer is held. */
-    bool held() const { return pool_ != nullptr; }
-
     RecordT *data() { return buf_.data(); }
     const RecordT *data() const { return buf_.data(); }
 
     /** Record capacity of the held buffer (the pool's batch size). */
     std::uint64_t capacity() const { return buf_.size(); }
-
-    /** Records currently meaningful in the buffer — payload metadata
-     *  carried with the lease so queue consumers know the fill. */
-    std::uint64_t length() const { return len_; }
-
-    void setLength(std::uint64_t len) { len_ = len; }
 
     /** Return the buffer to its pool early (idempotent). */
     void
@@ -92,13 +79,11 @@ class PoolLease
             pool_->release(std::move(buf_));
             pool_ = nullptr;
         }
-        len_ = 0;
     }
 
   private:
     BufferPool<RecordT> *pool_ = nullptr;
     std::vector<RecordT> buf_;
-    std::uint64_t len_ = 0;
 };
 
 } // namespace bonsai::io

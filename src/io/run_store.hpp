@@ -13,9 +13,13 @@
  *  - MemoryRunStore keeps records in a caller-owned DRAM buffer, so
  *    a streamed sort can run with storage bandwidth out of the
  *    picture (benches, tests).
- *  - FileRunStore spills to an anonymous temp file through positioned
- *    I/O that is safe to call concurrently from the prefetch worker,
- *    the write-back worker and the merge thread.
+ *  - FileRunStore spills to a file through positioned I/O that is
+ *    safe to call concurrently from the prefetch worker, the
+ *    write-back worker and the merge thread.  By default the file is
+ *    an anonymous temp file (storage dies with the descriptor); the
+ *    checkpointed sort instead hands it a *named* ByteFile under its
+ *    job directory, created fresh or reopened for resume, so a later
+ *    attempt can reopen the same bytes.
  *
  * Byte counters tally actual store traffic (spill bytes), reported
  * through the facades' unified telemetry.
@@ -167,93 +171,22 @@ class MemoryRunStore : public RunStore<RecordT>
     std::span<RecordT> backing_;
 };
 
-/** SSD-backed store spilling to an anonymous temp file. */
+/** SSD-backed store spilling to a ByteFile. */
 template <typename RecordT>
 class FileRunStore : public RunStore<RecordT>
 {
     static_assert(std::is_trivially_copyable_v<RecordT>);
 
   public:
-    /** @param dir Spill directory (empty = $TMPDIR or /tmp). */
+    /** Anonymous temp-file spill.
+     *  @param dir Spill directory (empty = $TMPDIR or /tmp). */
     explicit FileRunStore(const std::string &dir = "")
         : file_(ByteFile::createTemp(dir))
     {
     }
 
-    void
-    writeAt(std::uint64_t offset, const RecordT *src,
-            std::uint64_t count,
-            const char *context = nullptr) override
-    {
-        file_.writeAt(offset * sizeof(RecordT), src,
-                      count * sizeof(RecordT), context);
-        this->countWrite(count * sizeof(RecordT));
-    }
-
-    void
-    readAt(std::uint64_t offset, RecordT *dst, std::uint64_t count,
-           const char *context = nullptr) const override
-    {
-        file_.readAt(offset * sizeof(RecordT), dst,
-                     count * sizeof(RecordT), context);
-        this->countRead(count * sizeof(RecordT));
-    }
-
-    void
-    flush(const char *context = nullptr) override
-    {
-        file_.sync(context);
-    }
-
-    IoRetryStats retryStats() const override
-    {
-        return file_.retryStats();
-    }
-
-    /** Inject faults into the spill file (tests; nullptr = off). */
-    void
-    setFaultPolicy(std::shared_ptr<FaultPolicy> policy)
-    {
-        file_.setFaultPolicy(std::move(policy));
-    }
-
-    /** Replace the spill file's transient-error retry schedule. */
-    void
-    setRetryPolicy(const RetryPolicy &policy)
-    {
-        file_.setRetryPolicy(policy);
-    }
-
-  private:
-    ByteFile file_;
-};
-
-/**
- * SSD-backed store over a *named* spill file that survives the
- * process: the checkpointed sort's store.  Where FileRunStore unlinks
- * its name at birth (storage dies with the descriptor), a
- * PersistentRunStore keeps the name under a job directory so a
- * resumed attempt can reopen the same bytes.  Fresh mode creates or
- * truncates; resume mode opens without truncation, preserving
- * whatever a previous attempt already made durable.
- *
- * Same lock-free contract as FileRunStore: positioned pread/pwrite on
- * disjoint ranges, relaxed traffic counters, single-writer metadata.
- */
-template <typename RecordT>
-class PersistentRunStore : public RunStore<RecordT>
-{
-    static_assert(std::is_trivially_copyable_v<RecordT>);
-
-  public:
-    /** @param path   Spill file path (inside the job directory).
-     *  @param resume Keep existing bytes (true) or start empty. */
-    explicit PersistentRunStore(const std::string &path,
-                                bool resume = false)
-        : file_(resume ? ByteFile::openReadWrite(path)
-                       : ByteFile::create(path))
-    {
-    }
+    /** Spill to @p file, e.g. a named file that outlives the store. */
+    explicit FileRunStore(ByteFile file) : file_(std::move(file)) {}
 
     void
     writeAt(std::uint64_t offset, const RecordT *src,
@@ -285,6 +218,7 @@ class PersistentRunStore : public RunStore<RecordT>
         return file_.retryStats();
     }
 
+    /** The spill file's path ("" for an anonymous spill). */
     const std::string &path() const { return file_.path(); }
 
     /** Current spill file size in bytes (resume-validation input). */

@@ -3,12 +3,14 @@
  * Checkpointer: the crash-consistency coordinator of a durable
  * out-of-core sort.
  *
- * A checkpointed sort runs against two PersistentRunStores under a
- * job directory plus the job manifest (io/manifest.hpp).  The
- * Checkpointer owns all three and enforces the ordering the resume
- * path relies on: run *data* is flushed (RunStore::flush, i.e.
- * fdatasync) before the manifest that records it is committed, so any
- * run a committed manifest lists is durable on the device.
+ * A checkpointed sort runs against two FileRunStores over named
+ * spill files under a job directory, plus the job manifest
+ * (io/manifest.hpp).  The Checkpointer opens the spill files itself
+ * (created fresh, or reopened without truncation to resume), owns
+ * all three, and enforces the ordering the resume path relies on:
+ * run *data* is flushed (RunStore::flush, i.e. fdatasync) before the
+ * manifest that records it is committed, so any run a committed
+ * manifest lists is durable on the device.
  *
  * Commit points:
  *  - commitChunk(): after each phase-1 chunk spill — the chunk's run
@@ -95,13 +97,13 @@ class Checkpointer
     }
 
     /** The two persistent spill stores (0 = front, 1 = back). */
-    io::PersistentRunStore<RecordT> &
+    io::FileRunStore<RecordT> &
     store(unsigned i)
     {
         return *stores_[i];
     }
-    io::PersistentRunStore<RecordT> &front() { return *stores_[0]; }
-    io::PersistentRunStore<RecordT> &back() { return *stores_[1]; }
+    io::FileRunStore<RecordT> &front() { return *stores_[0]; }
+    io::FileRunStore<RecordT> &back() { return *stores_[1]; }
 
     /** True when a previous attempt's work was adopted. */
     bool resumed() const { return resumed_; }
@@ -192,9 +194,11 @@ class Checkpointer
                 cfg_.dir + "/" +
                 (i == 0 ? io::kFrontStoreFileName
                         : io::kBackStoreFileName);
-            stores_[i] =
-                std::make_unique<io::PersistentRunStore<RecordT>>(
-                    path, resume);
+            // Fresh mode creates or truncates; resume mode keeps
+            // whatever a previous attempt already made durable.
+            stores_[i] = std::make_unique<io::FileRunStore<RecordT>>(
+                resume ? io::ByteFile::openReadWrite(path)
+                       : io::ByteFile::create(path));
             stores_[i]->setFaultPolicy(cfg_.faultPolicy);
             stores_[i]->setRetryPolicy(cfg_.retryPolicy);
         }
@@ -240,7 +244,7 @@ class Checkpointer
     std::string
     verifyRuns(const io::JobManifest &m)
     {
-        io::PersistentRunStore<RecordT> &live =
+        io::FileRunStore<RecordT> &live =
             store(m.currentStore);
         const std::uint64_t fileRecords =
             live.sizeBytes() / sizeof(RecordT);
@@ -296,7 +300,7 @@ class Checkpointer
      *  flushed (or is being resume-verified), so the read is page-
      *  cache hot in the common case. */
     std::uint32_t
-    runCrc(const io::PersistentRunStore<RecordT> &s,
+    runCrc(const io::FileRunStore<RecordT> &s,
            const RunSpan &run, const char *context) const
     {
         std::vector<RecordT> buf(static_cast<std::size_t>(
@@ -323,7 +327,7 @@ class Checkpointer
     }
 
     Config cfg_;
-    std::unique_ptr<io::PersistentRunStore<RecordT>> stores_[2];
+    std::unique_ptr<io::FileRunStore<RecordT>> stores_[2];
     io::JobManifest m_;
     bool resumed_ = false;
     std::uint64_t resumedChunks_ = 0;

@@ -4,10 +4,11 @@
  * — the facade over the decomposed streaming-sort modules:
  *
  *   sorter/stream_stats.hpp   unified telemetry struct
+ *   sorter/double_buffer.hpp  the double-buffered batch transfer
  *   sorter/run_cursor.hpp     prefetching run cursor (2 pool buffers)
  *   sorter/stream_writer.hpp  double-buffered batch writer
  *   sorter/tournament.hpp     the shared merge-tree kernel
- *   sorter/merge_plan.hpp     Equation-10 shape, lanes, lane leases
+ *   sorter/merge_plan.hpp     Equation-10 shape, lanes, stall tally
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1: read, sort and spill loops
  *   sorter/phase2_merge.hpp   phase 2 merge passes and the final pass

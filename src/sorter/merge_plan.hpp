@@ -1,8 +1,8 @@
 /**
  * @file
  * Phase-2 merge planning: the Equation-10 buffer-budget shape, the
- * per-lane I/O worker pair, the lane lease allocator, and the
- * per-task stall tally the merge stages report with.
+ * per-lane I/O worker pair, and the per-task stall tally the merge
+ * stages report with.
  *
  * The shape derivation is the engine's resource model: a streamed
  * ell-way merge lane holds 2 buffers per input cursor plus 2 for its
@@ -17,10 +17,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/contract.hpp"
-#include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 
 namespace bonsai::sorter
@@ -79,49 +77,6 @@ struct GroupTally
     std::uint64_t moved = 0;
     double readStall = 0.0;
     double writeStall = 0.0;
-};
-
-/** Free-lane allocator: group tasks lease a lane for the duration
- *  of one merge, bounding concurrent pool holdings to
- *  lanes * (2 ell + 2) buffers no matter how wide the thread pool
- *  is.  A leaf lock like every other in the tree (see
- *  common/sync.hpp): the lease mutex is never held while merging
- *  — only around the free-list push/pop. */
-class LaneLeases
-{
-  public:
-    explicit LaneLeases(unsigned lanes)
-    {
-        free_.reserve(lanes);
-        for (unsigned i = 0; i < lanes; ++i)
-            free_.push_back(lanes - 1 - i);
-    }
-
-    unsigned
-    acquire() BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        while (free_.empty())
-            ready_.wait(mutex_);
-        const unsigned lane = free_.back();
-        free_.pop_back();
-        return lane;
-    }
-
-    void
-    release(unsigned lane) BONSAI_EXCLUDES(mutex_)
-    {
-        {
-            ScopedLock lock(mutex_);
-            free_.push_back(lane);
-        }
-        ready_.notifyOne();
-    }
-
-  private:
-    Mutex mutex_;
-    CondVar ready_;
-    std::vector<unsigned> free_ BONSAI_GUARDED_BY(mutex_);
 };
 
 } // namespace bonsai::sorter

@@ -5,9 +5,10 @@
  * single run streams into the sink instead.
  *
  * Parallel structure (TopSort-style merge units):
- *  - non-final passes schedule independent merge groups on up to W
- *    lanes, each lane owning its own prefetch and write-back workers
- *    so I/O of concurrent groups does not serialize;
+ *  - non-final passes run one task per lane (W of them), each
+ *    claiming merge groups from a shared counter and merging them
+ *    with the lane's own prefetch and write-back workers, so I/O of
+ *    concurrent groups does not serialize;
  *  - the final pass is cut into W key-space slices along splitters
  *    (sorter/splitter.hpp), each slice merging through its own cursor
  *    set and landing in the sink as a positioned segment at its exact
@@ -17,13 +18,16 @@
  * The merge itself is the shared kernel in sorter/tournament.hpp
  * (the same buffered 2-way merge tree LoserTree instantiates over
  * spans), run here over a set of prefetching RunCursors whose
- * windows are their current batches.
+ * windows are their current batches.  Every group takes that one
+ * path — cursors, tree, StreamWriter — a one-member group included
+ * (its tree has a single leaf), and so does every final pass,
+ * whatever its member count.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP
 #define BONSAI_SORTER_PHASE2_MERGE_HPP
 
-#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -37,7 +41,6 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
-#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/checkpoint.hpp"
@@ -156,9 +159,10 @@ class Phase2Merger
         stats.writeStallSeconds += t.writeStall;
     }
 
-    /** One non-final pass: independent merge groups are scheduled on
-     *  the thread pool, each leasing one of the W lanes for its I/O
-     *  workers and its share of the buffer budget. */
+    /** One non-final pass: one task per lane on the thread pool,
+     *  each claiming group indices from a shared counter and merging
+     *  them with its lane's I/O workers — so at most W lanes hold
+     *  their 2 ell + 2 buffers at once. */
     void
     mergePassStreamed(io::RunStore<RecordT> &src,
                       io::RunStore<RecordT> &dst, const StagePlan &plan,
@@ -172,51 +176,39 @@ class Phase2Merger
         const std::size_t width =
             std::min<std::size_t>(lanes_->size(), work.size());
         std::vector<GroupTally> tallies(work.size());
-        if (width <= 1) {
-            for (std::size_t i = 0; i < work.size(); ++i)
-                tallies[i] = mergeOneGroup(src, plan, out, work[i],
-                                           dst, *(*lanes_)[0]);
-        } else {
-            // parallelFor tasks must not throw (a leaked exception
-            // kills a pool worker), so trap the first error and
-            // rethrow it after the join.  The sort-wide trap keeps
-            // first-error-wins across lanes: one group's failure
-            // propagates, the rest are counted as secondary.
-            LaneLeases leases(static_cast<unsigned>(width));
-            pool_->parallelFor(work.size(), [&](std::uint64_t i) {
-                const unsigned lane = leases.acquire();
-                try {
-                    tallies[i] =
-                        mergeOneGroup(src, plan, out, work[i], dst,
-                                      *(*lanes_)[lane]);
-                } catch (...) {
-                    trap_->store(std::current_exception());
-                }
-                leases.release(lane);
-            });
-            trap_->rethrowIfSet();
-        }
+        std::atomic<std::size_t> next{0};
+        // parallelFor tasks must not throw (a leaked exception kills a
+        // pool worker), so trap the first error and rethrow it after
+        // the join.  The sort-wide trap keeps first-error-wins across
+        // lanes: one group's failure propagates, the rest are counted
+        // as secondary.
+        pool_->parallelFor(width, [&](std::uint64_t lane) {
+            try {
+                for (std::size_t i = next.fetch_add(1);
+                     i < work.size(); i = next.fetch_add(1))
+                    tallies[i] = mergeOneGroup(src, plan, out, work[i],
+                                               dst, *(*lanes_)[lane]);
+            } catch (...) {
+                trap_->store(std::current_exception());
+            }
+        });
+        trap_->rethrowIfSet();
         for (const GroupTally &t : tallies)
             foldTally(t, stats);
     }
 
-    /** Merge (or, for a singleton group, batch-copy) group @p g of
-     *  @p plan into its output run in @p dst. */
+    /** Merge group @p g of @p plan into its output run in @p dst. */
     GroupTally
     mergeOneGroup(const io::RunStore<RecordT> &src,
                   const StagePlan &plan,
                   const std::vector<RunSpan> &out, std::uint64_t g,
                   io::RunStore<RecordT> &dst, Lane &lane)
     {
-        const std::vector<RunSpan> members = plan.groupRuns(g);
         const std::string ctx =
             "phase-2 write-back of merge group " + std::to_string(g);
         io::RunStoreSink<RecordT> gsink(dst, out[g].offset,
                                         ctx.c_str());
-        if (members.size() == 1)
-            return copyRun(src, members[0], gsink, lane.writer);
-        return mergeGroup(src, members, gsink, lane.reader,
-                          lane.writer);
+        return mergeGroup(src, plan.groupRuns(g), gsink, lane);
     }
 
     /** The final pass (one group, streaming to the sink): cut the
@@ -230,13 +222,6 @@ class Phase2Merger
               const std::vector<RunSpan> &members,
               io::RecordSink<RecordT> &sink, StreamStats &stats)
     {
-        if (members.size() == 1) {
-            stats.finalSlices = 1;
-            foldTally(copyRun(src, members[0], sink,
-                              (*lanes_)[0]->writer),
-                      stats);
-            return;
-        }
         std::uint64_t total = 0;
         for (const RunSpan &m : members)
             total += m.length;
@@ -249,9 +234,7 @@ class Phase2Merger
             slices = 1;
         if (slices <= 1) {
             stats.finalSlices = 1;
-            foldTally(mergeGroup(src, members, sink,
-                                 (*lanes_)[0]->reader,
-                                 (*lanes_)[0]->writer),
+            foldTally(mergeGroup(src, members, sink, *(*lanes_)[0]),
                       stats);
             return;
         }
@@ -280,9 +263,7 @@ class Phase2Merger
                         RunSpan{members[j].offset + cuts[t][j],
                                 cuts[t + 1][j] - cuts[t][j]});
                 io::SegmentSink<RecordT> seg(sink, base[t]);
-                tallies[t] =
-                    mergeGroup(src, sub, seg, (*lanes_)[t]->reader,
-                               (*lanes_)[t]->writer);
+                tallies[t] = mergeGroup(src, sub, seg, *(*lanes_)[t]);
             } catch (...) {
                 trap_->store(std::current_exception());
             }
@@ -292,93 +273,20 @@ class Phase2Merger
             foldTally(t, stats);
     }
 
-    /** Singleton-group bypass: a 1-member group needs no tournament —
-     *  batch-copy the run to @p out, the read of batch k overlapping
-     *  the write-back of batch k-1. */
-    GroupTally
-    copyRun(const io::RunStore<RecordT> &src, const RunSpan &run,
-            io::RecordSink<RecordT> &out, BackgroundWorker &writer)
-    {
-        GroupTally tally;
-        const std::uint64_t batch = bufs_->batchRecords();
-        const std::string ctx = "batch-copy of run @" +
-                                std::to_string(run.offset) + "+" +
-                                std::to_string(run.length);
-        // Both paths out wait on the gates before these leases
-        // return the buffers: the loop's final waits, or the catch
-        // below.
-        std::array<io::PoolLease<RecordT>, 2> buf = {
-            io::PoolLease<RecordT>(*bufs_),
-            io::PoolLease<RecordT>(*bufs_)};
-        std::array<io::TaskGate, 2> gate;
-        std::array<std::uint64_t, 2> len = {0, 0};
-        try {
-            unsigned slot = 0;
-            std::uint64_t done = 0;
-            while (done < run.length) {
-                const std::uint64_t n =
-                    std::min<std::uint64_t>(batch, run.length - done);
-                // This buffer's previous write must have landed.
-                tally.writeStall += gate[slot].wait();
-                src.readAt(run.offset + done, buf[slot].data(), n,
-                           ctx.c_str());
-                len[slot] = n;
-                io::TaskGate *g = &gate[slot];
-                const RecordT *b = buf[slot].data();
-                const std::uint64_t *l = &len[slot];
-                g->arm();
-                try {
-                    writer.post([&out, g, b, l] {
-                        try {
-                            out.write(b, *l);
-                        } catch (...) {
-                            g->fail(std::current_exception());
-                            return;
-                        }
-                        g->open();
-                    });
-                } catch (...) {
-                    // Nothing made it in flight: reopen the gate so
-                    // the quiesce below cannot deadlock.
-                    g->open();
-                    throw;
-                }
-                done += n;
-                slot ^= 1;
-            }
-            tally.writeStall += gate[0].wait() + gate[1].wait();
-        } catch (...) {
-            // An in-flight write still references buf; quiesce the
-            // gates before the buffers return to the pool, recording
-            // (not dropping) any second failure behind the first.
-            for (io::TaskGate &g : gate) {
-                try {
-                    g.wait();
-                } catch (...) {
-                    trap_->storeSecondary(std::current_exception());
-                }
-            }
-            throw;
-        }
-        tally.moved = run.length;
-        return tally;
-    }
-
     /** Stream-merge one group of runs from @p src into @p out via
      *  the shared merge-tree kernel. */
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
                const std::vector<RunSpan> &members,
-               io::RecordSink<RecordT> &out, BackgroundWorker &reader,
-               BackgroundWorker &writer)
+               io::RecordSink<RecordT> &out, Lane &lane)
     {
         GroupTally tally;
         std::vector<std::unique_ptr<RunCursor<RecordT>>> cursors;
         cursors.reserve(members.size());
         for (const RunSpan &m : members)
             cursors.push_back(std::make_unique<RunCursor<RecordT>>(
-                src, m, *bufs_, reader, trap_));
-        StreamWriter<RecordT> drain(out, *bufs_, writer, trap_);
+                src, m, *bufs_, lane.reader, *trap_));
+        StreamWriter<RecordT> drain(out, *bufs_, lane.writer, *trap_);
         CursorSet set(cursors);
         TournamentTree<RecordT, CursorSet> merge(set);
         while (!merge.done()) {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Double-buffered batch writer: push() fills one buffer while the
- * previous one drains to the sink on a background worker.  All writes
- * to a sink funnel through one worker, so they land in push order.
+ * Double-buffered batch writer: push() fills the front buffer of a
+ * DoubleBuffer while the back one drains to the sink on a background
+ * worker.  All writes to a sink funnel through one worker, so they
+ * land in push order.
  *
  * Holds two pool buffers for its lifetime (the "+2" of the engine's
  * per-lane 2 ell + 2 budget).  finish() must be called on the normal
- * path for errors to surface; the destructor quiesces and records a
+ * path for errors to surface; on unwind the DoubleBuffer records a
  * late failure through the sort-wide ErrorTrap instead of throwing.
  */
 
@@ -14,13 +15,12 @@
 #define BONSAI_SORTER_STREAM_WRITER_HPP
 
 #include <cstdint>
-#include <utility>
 
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
-#include "io/pool_lease.hpp"
 #include "io/stream.hpp"
+#include "sorter/double_buffer.hpp"
 
 namespace bonsai::sorter
 {
@@ -31,34 +31,21 @@ class StreamWriter
   public:
     StreamWriter(io::RecordSink<RecordT> &sink,
                  io::BufferPool<RecordT> &pool, BackgroundWorker &writer,
-                 ErrorTrap *trap = nullptr)
-        : sink_(&sink), worker_(&writer), trap_(trap),
-          batch_(pool.batchRecords()), cur_(pool), flight_(pool)
+                 ErrorTrap &trap)
+        : sink_(&sink), batch_(pool.batchRecords()),
+          buf_(pool, writer, trap)
     {
     }
 
     StreamWriter(const StreamWriter &) = delete;
     StreamWriter &operator=(const StreamWriter &) = delete;
 
-    ~StreamWriter()
-    {
-        // finish() reports errors on the normal path; a failure seen
-        // only here (unwind) is recorded instead of dropped.  The
-        // write in flight lands before the leases return the buffers.
-        try {
-            gate_.wait();
-        } catch (...) {
-            if (trap_ != nullptr)
-                trap_->storeSecondary(std::current_exception());
-        }
-    }
-
     void
     push(const RecordT &rec)
     {
-        cur_.data()[len_++] = rec;
+        buf_.front()[len_++] = rec;
         if (len_ == batch_)
-            flushBatch();
+            flush();
     }
 
     /** Drain everything to the sink; required before destruction for
@@ -67,50 +54,28 @@ class StreamWriter
     finish()
     {
         if (len_ > 0)
-            flushBatch();
-        stall_ += gate_.wait();
+            flush();
+        buf_.wait();
     }
 
     /** Seconds push()/finish() blocked on in-flight write-back. */
-    double stallSeconds() const { return stall_; }
+    double stallSeconds() const { return buf_.stallSeconds(); }
 
   private:
+    /** Swap the filled batch to the back and write it out. */
     void
-    flushBatch()
+    flush()
     {
-        stall_ += gate_.wait(); // previous batch must have landed
-        std::swap(cur_, flight_);
-        flightLen_ = len_;
+        buf_.step(len_, [this](const RecordT *src, std::uint64_t n) {
+            sink_->write(src, n);
+        });
         len_ = 0;
-        gate_.arm();
-        try {
-            worker_->post([this] {
-                try {
-                    sink_->write(flight_.data(), flightLen_);
-                } catch (...) {
-                    gate_.fail(std::current_exception());
-                    return;
-                }
-                gate_.open();
-            });
-        } catch (...) {
-            // Nothing made it in flight: reopen the gate so later
-            // waits (finish, destructor) cannot deadlock.
-            gate_.open();
-            throw;
-        }
     }
 
     io::RecordSink<RecordT> *sink_;
-    BackgroundWorker *worker_;
-    ErrorTrap *trap_;
     std::uint64_t batch_;
-    io::PoolLease<RecordT> cur_;
-    io::PoolLease<RecordT> flight_;
-    std::uint64_t len_ = 0;
-    std::uint64_t flightLen_ = 0;
-    io::TaskGate gate_;
-    double stall_ = 0.0;
+    std::uint64_t len_ = 0; ///< records filled in the front buffer
+    DoubleBuffer<RecordT> buf_;
 };
 
 } // namespace bonsai::sorter

@@ -196,6 +196,57 @@ TEST(StreamEngineFaults, CursorConstructionErrorDoesNotLeakBuffers)
     }
 }
 
+/** Fails every read starting in bytes [@p begin, @p end); never
+ *  heals. */
+class FailReadsIn final : public io::FaultPolicy
+{
+  public:
+    FailReadsIn(std::uint64_t begin, std::uint64_t end)
+        : begin_(begin), end_(end)
+    {
+    }
+
+    io::FaultAction
+    onAttempt(const io::FaultOp &op) override
+    {
+        io::FaultAction act;
+        if (op.kind == io::FaultOp::Kind::Read && op.offset >= begin_ &&
+            op.offset < end_)
+            act.failWith = EIO;
+        return act;
+    }
+
+  private:
+    std::uint64_t begin_;
+    std::uint64_t end_;
+};
+
+TEST(StreamEngineFaults, SingletonGroupReadErrorUnwindsCleanly)
+{
+    // 3 runs at fan-in 2: the first pass merges the groups {0, 2}
+    // and {1} (StagePlan interleaves runs across groups).  Only reads
+    // of run 1 fail, so the error comes from the lone member's run
+    // cursor.
+    const auto data = makeRecords(3'000, Distribution::UniformRandom);
+    for (const unsigned threads : {1u, 4u}) {
+        io::FileRunStore<Record> front;
+        io::FileRunStore<Record> back;
+        front.setFaultPolicy(std::make_shared<FailReadsIn>(
+            1'000 * sizeof(Record), 2'000 * sizeof(Record)));
+        front.setRetryPolicy(fastRetries());
+
+        auto opt = faultOptions(threads);
+        opt.phase2Ell = 2;
+        const StreamEngine<Record> engine(opt);
+        const std::string msg =
+            expectCleanFailure(engine, data, front, back);
+        EXPECT_NE(msg.find("pread failed"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("streaming run @1000+1000"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(StreamEngineFaults, FinalSplitterPassFaultUnwindsCleanly)
 {
     // Exactly ell runs: phase 2 is a single final pass, so the first

@@ -227,11 +227,12 @@ TEST(StreamEngine, ParallelStreamIsByteIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(StreamEngine, SingletonGroupIsBatchCopiedNotMerged)
+TEST(StreamEngine, SingletonGroupMergesThroughOneLeafTree)
 {
-    // 3 runs at fan-in 2 leave a 1-member group; the bypass must
-    // batch-copy it with the same moved-records accounting as the
-    // in-memory sort (which charges every pass its full total).
+    // 3 runs at fan-in 2 leave a 1-member group; it merges like any
+    // other group (cursor, 1-leaf tree, writer), with the same
+    // moved-records accounting as the in-memory sort (which charges
+    // every pass its full total).
     auto opt = smallOptions();
     opt.phase2Ell = 2;
     const StreamEngine<Record> engine(opt);
@@ -246,6 +247,32 @@ TEST(StreamEngine, SingletonGroupIsBatchCopiedNotMerged)
     EXPECT_EQ(stats.phase1Chunks, 3u);
     EXPECT_EQ(stats.mergePasses, 2u); // 3 -> 2 -> 1
     EXPECT_EQ(stats.recordsMoved, mem.recordsMoved);
+}
+
+TEST(StreamEngine, SingleChunkFinalPassIsSliced)
+{
+    // One chunk spills one run, so phase 2 is a single-run final
+    // pass; it is cut into slices like any other final pass.
+    const auto data = makeRecords(4'000, Distribution::FewDistinct);
+    for (const unsigned threads : {1u, 4u}) {
+        auto opt = smallOptions();
+        opt.chunkRecords = 4'000;
+        opt.threads = threads;
+        const StreamEngine<Record> engine(opt);
+
+        auto in_place = data;
+        chunkSort(opt, in_place);
+
+        StreamStats stats;
+        const auto streamed = streamSort(engine, data, &stats);
+        EXPECT_EQ(streamed, in_place) << threads << " threads";
+        EXPECT_EQ(stats.phase1Chunks, 1u);
+        EXPECT_EQ(stats.mergePasses, 1u);
+        if (threads == 1)
+            EXPECT_EQ(stats.finalSlices, 1u);
+        else
+            EXPECT_GE(stats.finalSlices, 2u);
+    }
 }
 
 TEST(StreamEngine, BudgetAdmittingOneLaneFallsBackToSerial)

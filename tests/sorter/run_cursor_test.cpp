@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/run_store.hpp"
@@ -18,7 +19,7 @@ namespace
 {
 
 /** A memory store holding 100 records, a pool of b-record batches
- *  and the prefetch worker a cursor needs. */
+ *  and the error trap and prefetch worker a cursor needs. */
 class RunCursorTest : public ::testing::Test
 {
   protected:
@@ -38,7 +39,7 @@ class RunCursorTest : public ::testing::Test
         std::vector<Record> got;
         {
             sorter::RunCursor<Record> cursor(store_, span, pool,
-                                             reader_);
+                                             reader_, trap_);
             EXPECT_EQ(pool.outstanding(), 2U);
             std::uint64_t read = 0;
             while (!cursor.window().empty()) {
@@ -73,6 +74,7 @@ class RunCursorTest : public ::testing::Test
 
     std::vector<Record> data_;
     io::MemoryRunStore<Record> store_;
+    ErrorTrap trap_;
     BackgroundWorker reader_;
 };
 
@@ -108,7 +110,7 @@ TEST_F(RunCursorTest, ZeroConsumeKeepsTheWindow)
     io::BufferPool<Record> pool(4, 8 * sizeof(Record));
     {
         sorter::RunCursor<Record> cursor(store_, RunSpan{0, 6}, pool,
-                                         reader_);
+                                         reader_, trap_);
         const auto before = cursor.window();
         cursor.consume(0);
         const auto after = cursor.window();
