@@ -34,6 +34,10 @@ Rules enforced over src/ (and, where noted, tests/):
      "// NOLINT(bugprone-empty-catch): error has no consumer".
      Bare or unexplained suppressions fail the gate; NOLINTBEGIN
      block suppressions are banned outright.
+  9. Raw positioned-I/O syscalls (pread, pwrite, fdatasync) are
+     confined to io/byte_io.cpp, so every transfer and every sync
+     goes through ByteFile's fault seam and retry schedule.
+     (syncDirectory's fsync of a directory is not covered.)
 
 Rule matching runs on text with comments AND string/character
 literals neutralized (see strip_comments), so an error message
@@ -56,6 +60,7 @@ SRC = REPO / "src"
 THREAD_ALLOWED = {"src/common/thread_pool.hpp"}
 RANDOM_ALLOWED = {"src/common/random.hpp", "src/common/random.cpp"}
 SYNC_ALLOWED = {"src/common/sync.hpp"}
+RAW_IO_ALLOWED = {"src/io/byte_io.cpp"}
 
 THREAD_RE = re.compile(r"\bstd::(this_)?thread\b")
 RANDOM_RE = re.compile(r"(?<![\w:.])(?:s?rand|time)\s*\(")
@@ -69,6 +74,7 @@ SYNC_INCLUDE_RE = re.compile(
     r"#\s*include\s*<(?:mutex|condition_variable|shared_mutex)>")
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:bonsai::)?Mutex\s+\w+_?\s*;")
+RAW_IO_RE = re.compile(r"(?<![\w.>])(?:::\s*)?(?:pread|pwrite|fdatasync)\s*\(")
 NOLINT_RE = re.compile(r"NOLINT\w*")
 NOLINT_OK_RE = re.compile(
     r"NOLINT(?:NEXTLINE)?\([A-Za-z0-9_.\-, ]+\):\s*\S")
@@ -239,6 +245,11 @@ def scan_text(rel_str: str, raw: str, problems: list) -> None:
             problems.append(
                 f"{rel_str}:{i}: raw assert() (use BONSAI_REQUIRE/"
                 "ENSURE/INVARIANT from common/contract.hpp)")
+        if rel_str not in RAW_IO_ALLOWED and RAW_IO_RE.search(line):
+            problems.append(
+                f"{rel_str}:{i}: raw pread/pwrite/fdatasync outside "
+                "io/byte_io.cpp (use ByteFile, which retries and "
+                "consults the fault policy)")
         if rel_str not in SYNC_ALLOWED:
             if SYNC_RE.search(line):
                 problems.append(
@@ -360,6 +371,26 @@ def self_test() -> int:
         "src/foo/bar.hpp",
         hdr.format("int x; // NOLINT(foo-check): x is fine here"))
     expect("explained NOLINT accepted", probs == [])
+
+    # Raw positioned-I/O syscalls bypass ByteFile's retry schedule...
+    probs = violations("src/foo/bar.hpp",
+                       hdr.format("void f() { ::pread(fd, p, n, 0); }"))
+    expect("raw pread outside byte_io.cpp rejected",
+           any("raw pread/pwrite/fdatasync" in p for p in probs))
+    probs = violations("src/foo/bar.cpp", "rc = fdatasync(fd);\n")
+    expect("raw fdatasync outside byte_io.cpp rejected",
+           any("raw pread/pwrite/fdatasync" in p for p in probs))
+    # ... but byte_io.cpp owns them, and member calls, comments and
+    # strings that name them are fine.
+    probs = violations("src/io/byte_io.cpp",
+                       "rc = ::pwrite(fd, p, n, off);\n")
+    expect("byte_io.cpp may issue raw syscalls", probs == [])
+    probs = violations(
+        "src/foo/bar.hpp",
+        hdr.format('void f() { file.pread(x); /* pwrite( */ '
+                   'fail("fdatasync( failed"); }'))
+    expect("member calls, comments and strings do not trip the "
+           "raw-I/O rule", probs == [])
 
     # Pre-existing rules still fire on neutralized text.
     probs = violations("src/foo/bar.hpp",

@@ -39,7 +39,7 @@ throwErrno(const std::string &what, const std::string &path)
  * suffix (used for EOF, which is not a syscall failure).
  */
 [[noreturn]] void
-throwIoError(const char *what, const std::string &path,
+throwIoError(const std::string &what, const std::string &path,
              std::uint64_t offset, std::uint64_t remaining,
              std::uint64_t total, const char *context, int err)
 {
@@ -220,133 +220,41 @@ ByteFile::consultPolicy(const FaultOp &op) const
     return policy_->onAttempt(op);
 }
 
-void
-ByteFile::readAt(std::uint64_t offset, void *dst, std::uint64_t count,
-                 const char *context) const
+/**
+ * One syscall under the fault policy and the retry schedule: EINTR is
+ * retried immediately up to eintrLimit times in a row, a transient
+ * errno up to maxAttempts times with backoff, and anything else throws
+ * "<verb> failed".  Both counters are per syscall, so they reset after
+ * every success.  @p syscall receives the byte count the policy lets
+ * this attempt ask for and returns the kernel's result.
+ */
+template <typename Syscall>
+std::uint64_t
+ByteFile::attempt(const FaultOp &op, const char *verb,
+                  std::uint64_t total, const char *context,
+                  Syscall syscall) const
 {
-    char *out = static_cast<char *>(dst);
-    const std::uint64_t total = count;
     unsigned failures = 0; // consecutive transient failures
     unsigned eintrRun = 0; // consecutive interruptions
-    while (count > 0) {
-        const FaultAction act =
-            consultPolicy({FaultOp::Kind::Read, offset, count});
-        const std::uint64_t ask = std::min(
-            count, std::max<std::uint64_t>(act.maxBytes, 1));
-        ssize_t got = -1;
-        if (act.failWith != 0)
-            errno = act.failWith;
-        else
-            got = ::pread(fd_, out, ask, static_cast<off_t>(offset));
-        if (got < 0) {
-            const int err = errno;
-            if (err == EINTR) {
-                counters_->eintr.fetch_add(1,
-                                           std::memory_order_relaxed);
-                if (++eintrRun > retry_.eintrLimit)
-                    throwIoError("pread interrupted past the EINTR "
-                                 "retry limit",
-                                 path_, offset, count, total, context,
-                                 err);
-                continue;
-            }
-            if (transientErrno(err) && failures < retry_.maxAttempts) {
-                ++failures;
-                counters_->transient.fetch_add(
-                    1, std::memory_order_relaxed);
-                backoffSleep(failures, retry_.backoffBaseMicros);
-                continue;
-            }
-            throwIoError("pread failed", path_, offset, count, total,
-                         context, err);
-        }
-        if (got == 0)
-            throwIoError("pread hit end of file", path_, offset, count,
-                         total, context, 0);
-        failures = 0;
-        eintrRun = 0;
-        if (static_cast<std::uint64_t>(got) < count)
-            counters_->shortTransfers.fetch_add(
-                1, std::memory_order_relaxed);
-        out += got;
-        offset += static_cast<std::uint64_t>(got);
-        count -= static_cast<std::uint64_t>(got);
-    }
-}
-
-void
-ByteFile::writeAt(std::uint64_t offset, const void *src,
-                  std::uint64_t count, const char *context)
-{
-    const char *in = static_cast<const char *>(src);
-    const std::uint64_t total = count;
-    unsigned failures = 0;
-    unsigned eintrRun = 0;
-    while (count > 0) {
-        const FaultAction act =
-            consultPolicy({FaultOp::Kind::Write, offset, count});
-        const std::uint64_t ask = std::min(
-            count, std::max<std::uint64_t>(act.maxBytes, 1));
-        ssize_t put = -1;
-        if (act.failWith != 0)
-            errno = act.failWith;
-        else
-            put = ::pwrite(fd_, in, ask, static_cast<off_t>(offset));
-        if (put < 0) {
-            const int err = errno;
-            if (err == EINTR) {
-                counters_->eintr.fetch_add(1,
-                                           std::memory_order_relaxed);
-                if (++eintrRun > retry_.eintrLimit)
-                    throwIoError("pwrite interrupted past the EINTR "
-                                 "retry limit",
-                                 path_, offset, count, total, context,
-                                 err);
-                continue;
-            }
-            if (transientErrno(err) && failures < retry_.maxAttempts) {
-                ++failures;
-                counters_->transient.fetch_add(
-                    1, std::memory_order_relaxed);
-                backoffSleep(failures, retry_.backoffBaseMicros);
-                continue;
-            }
-            throwIoError("pwrite failed", path_, offset, count, total,
-                         context, err);
-        }
-        failures = 0;
-        eintrRun = 0;
-        if (static_cast<std::uint64_t>(put) < count)
-            counters_->shortTransfers.fetch_add(
-                1, std::memory_order_relaxed);
-        in += put;
-        offset += static_cast<std::uint64_t>(put);
-        count -= static_cast<std::uint64_t>(put);
-    }
-}
-
-void
-ByteFile::sync(const char *context)
-{
-    unsigned failures = 0;
-    unsigned eintrRun = 0;
     for (;;) {
-        const FaultAction act =
-            consultPolicy({FaultOp::Kind::Sync, 0, 0});
-        int rc = -1;
+        const FaultAction act = consultPolicy(op);
+        std::int64_t rc = -1;
         if (act.failWith != 0)
             errno = act.failWith;
         else
-            rc = ::fdatasync(fd_);
-        if (rc == 0)
-            return;
+            rc = syscall(std::min(
+                op.bytes, std::max<std::uint64_t>(act.maxBytes, 1)));
+        if (rc >= 0)
+            return static_cast<std::uint64_t>(rc);
         const int err = errno;
         if (err == EINTR) {
             counters_->eintr.fetch_add(1, std::memory_order_relaxed);
             if (++eintrRun > retry_.eintrLimit)
-                throwIoError(
-                    "fdatasync interrupted past the EINTR retry limit",
-                    path_, 0, 0, 0, context, err);
+                throwIoError(std::string(verb) +
+                                 " interrupted past the EINTR retry "
+                                 "limit",
+                             path_, op.offset, op.bytes, total, context,
+                             err);
             continue;
         }
         if (transientErrno(err) && failures < retry_.maxAttempts) {
@@ -356,8 +264,61 @@ ByteFile::sync(const char *context)
             backoffSleep(failures, retry_.backoffBaseMicros);
             continue;
         }
-        throwIoError("fdatasync failed", path_, 0, 0, 0, context, err);
+        throwIoError(std::string(verb) + " failed", path_, op.offset,
+                     op.bytes, total, context, err);
     }
+}
+
+void
+ByteFile::readAt(std::uint64_t offset, void *dst, std::uint64_t count,
+                 const char *context) const
+{
+    char *out = static_cast<char *>(dst);
+    const std::uint64_t total = count;
+    while (count > 0) {
+        const std::uint64_t got = attempt(
+            {FaultOp::Kind::Read, offset, count}, "pread", total,
+            context, [&](std::uint64_t ask) {
+                return ::pread(fd_, out, ask, static_cast<off_t>(offset));
+            });
+        if (got == 0)
+            throwIoError("pread hit end of file", path_, offset, count,
+                         total, context, 0);
+        if (got < count)
+            counters_->shortTransfers.fetch_add(
+                1, std::memory_order_relaxed);
+        out += got;
+        offset += got;
+        count -= got;
+    }
+}
+
+void
+ByteFile::writeAt(std::uint64_t offset, const void *src,
+                  std::uint64_t count, const char *context)
+{
+    const char *in = static_cast<const char *>(src);
+    const std::uint64_t total = count;
+    while (count > 0) {
+        const std::uint64_t put = attempt(
+            {FaultOp::Kind::Write, offset, count}, "pwrite", total,
+            context, [&](std::uint64_t ask) {
+                return ::pwrite(fd_, in, ask, static_cast<off_t>(offset));
+            });
+        if (put < count)
+            counters_->shortTransfers.fetch_add(
+                1, std::memory_order_relaxed);
+        in += put;
+        offset += put;
+        count -= put;
+    }
+}
+
+void
+ByteFile::sync(const char *context)
+{
+    attempt({FaultOp::Kind::Sync, 0, 0}, "fdatasync", 0, context,
+            [this](std::uint64_t) { return ::fdatasync(fd_); });
 }
 
 IoRetryStats

@@ -174,6 +174,13 @@ class ByteFile
 
     FaultAction consultPolicy(const FaultOp &op) const;
 
+    /** One syscall under the fault policy and the retry schedule;
+     *  returns its non-negative result or throws. */
+    template <typename Syscall>
+    std::uint64_t attempt(const FaultOp &op, const char *verb,
+                          std::uint64_t total, const char *context,
+                          Syscall syscall) const;
+
     int fd_ = -1;
     std::string path_;
     std::shared_ptr<FaultPolicy> policy_;

@@ -244,9 +244,7 @@ class FileRunStore : public RunStore<RecordT>
 
 /** Sink adapter writing sequentially into a store at a base offset —
  *  lets the merge writer target a store and the final-output sink
- *  through one interface.  Stores are positioned by nature, so the
- *  segment extension is supported too (concurrent disjoint writes are
- *  part of the RunStore contract). */
+ *  through one interface. */
 template <typename RecordT>
 class RunStoreSink : public RecordSink<RecordT>
 {
@@ -266,26 +264,9 @@ class RunStoreSink : public RecordSink<RecordT>
         pos_ += count;
     }
 
-    bool supportsSegments() const override { return true; }
-
-    void
-    beginSegments(std::uint64_t total) override
-    {
-        base_ = pos_;
-        pos_ += total;
-    }
-
-    void
-    writeSegment(std::uint64_t offset, const RecordT *src,
-                 std::uint64_t count) override
-    {
-        store_->writeAt(base_ + offset, src, count, context_);
-    }
-
   private:
     RunStore<RecordT> *store_;
     std::uint64_t pos_;
-    std::uint64_t base_ = 0;
     const char *context_ = nullptr;
 };
 

@@ -63,34 +63,36 @@ enum class ResumePolicy {
     ResumeStrict,  ///< resume or fail with the validation reason
 };
 
+/** Crash-consistency knobs of a durable (checkpointed) sort. */
+struct DurableOptions
+{
+    std::string dir; ///< job directory for spills + manifest
+    ResumePolicy policy = ResumePolicy::ResumeOrFresh;
+    /** Installed on the job's spill files and manifest commits
+     *  (tests; nullptr = off). */
+    std::shared_ptr<io::FaultPolicy> faultPolicy;
+    io::RetryPolicy retryPolicy;
+};
+
 template <typename RecordT>
 class Checkpointer
 {
   public:
-    struct Config
+    /** Opens (or creates) the job in @p opt.dir: loads and validates
+     *  any previous manifest per @p opt.policy against the request
+     *  echo @p params, leaving either a resumed state (runs installed
+     *  on the current store) or a clean fresh one.  Run checksums read
+     *  back in batches of params.batchRecords records. */
+    Checkpointer(DurableOptions opt, const io::ManifestParams &params)
+        : opt_(std::move(opt)), params_(params)
     {
-        std::string dir; ///< job directory (created if missing)
-        ResumePolicy policy = ResumePolicy::ResumeOrFresh;
-        /** The request echo a manifest must match to be resumable. */
-        io::ManifestParams params;
-        /** Batch size for run-checksum read-back (records). */
-        std::uint64_t verifyBatchRecords = 1 << 14;
-        /** Installed on both stores' files and the manifest temp file
-         *  (tests; nullptr = off). */
-        std::shared_ptr<io::FaultPolicy> faultPolicy;
-        io::RetryPolicy retryPolicy;
-    };
-
-    /** Opens (or creates) the job: loads and validates any previous
-     *  manifest per the policy, leaving either a resumed state (runs
-     *  installed on the current store) or a clean fresh one. */
-    explicit Checkpointer(Config cfg) : cfg_(std::move(cfg))
-    {
-        BONSAI_REQUIRE(!cfg_.dir.empty(),
+        BONSAI_REQUIRE(!opt_.dir.empty(),
                        "a checkpointed sort needs a job directory");
-        BONSAI_REQUIRE(cfg_.params.chunkRecords > 0,
-                       "checkpoint params need the chunk length");
-        io::createDirectories(cfg_.dir);
+        BONSAI_REQUIRE(params_.chunkRecords > 0 &&
+                           params_.batchRecords > 0,
+                       "checkpoint params need the chunk and batch "
+                       "lengths");
+        io::createDirectories(opt_.dir);
         if (tryResume())
             return;
         startFresh();
@@ -176,14 +178,14 @@ class Checkpointer
     }
 
     /** Delete the job's durable artifacts (successful completion). */
-    void removeArtifacts() { io::removeJobArtifacts(cfg_.dir); }
+    void removeArtifacts() { io::removeJobArtifacts(opt_.dir); }
 
   private:
     std::uint64_t
     totalChunks() const
     {
-        return (cfg_.params.recordsIn + cfg_.params.chunkRecords - 1) /
-               cfg_.params.chunkRecords;
+        return (params_.recordsIn + params_.chunkRecords - 1) /
+               params_.chunkRecords;
     }
 
     void
@@ -191,7 +193,7 @@ class Checkpointer
     {
         for (unsigned i = 0; i < 2; ++i) {
             const std::string path =
-                cfg_.dir + "/" +
+                opt_.dir + "/" +
                 (i == 0 ? io::kFrontStoreFileName
                         : io::kBackStoreFileName);
             // Fresh mode creates or truncates; resume mode keeps
@@ -199,8 +201,8 @@ class Checkpointer
             stores_[i] = std::make_unique<io::FileRunStore<RecordT>>(
                 resume ? io::ByteFile::openReadWrite(path)
                        : io::ByteFile::create(path));
-            stores_[i]->setFaultPolicy(cfg_.faultPolicy);
-            stores_[i]->setRetryPolicy(cfg_.retryPolicy);
+            stores_[i]->setFaultPolicy(opt_.faultPolicy);
+            stores_[i]->setRetryPolicy(opt_.retryPolicy);
         }
     }
 
@@ -210,11 +212,11 @@ class Checkpointer
     bool
     tryResume()
     {
-        const io::ManifestLoadResult r = io::loadManifest(cfg_.dir);
+        const io::ManifestLoadResult r = io::loadManifest(opt_.dir);
         std::string reason;
         if (r.status == io::ManifestStatus::Ok) {
             reason =
-                io::describeParamMismatch(cfg_.params,
+                io::describeParamMismatch(params_,
                                           r.manifest.params);
             if (reason.empty()) {
                 openStores(/*resume=*/true);
@@ -229,7 +231,7 @@ class Checkpointer
         } else {
             reason = r.error;
         }
-        if (cfg_.policy == ResumePolicy::ResumeStrict)
+        if (opt_.policy == ResumePolicy::ResumeStrict)
             throw std::runtime_error("bonsai checkpoint: cannot "
                                      "resume: " +
                                      reason);
@@ -290,10 +292,10 @@ class Checkpointer
         // Stale artifacts — a previous job's manifest, orphan spill
         // files from an aborted newer attempt — must not leak into a
         // fresh job.
-        io::removeJobArtifacts(cfg_.dir);
+        io::removeJobArtifacts(opt_.dir);
         openStores(/*resume=*/false);
         m_ = io::JobManifest{};
-        m_.params = cfg_.params;
+        m_.params = params_;
     }
 
     /** CRC a run's raw bytes by batched read-back.  The data was just
@@ -304,7 +306,7 @@ class Checkpointer
            const RunSpan &run, const char *context) const
     {
         std::vector<RecordT> buf(static_cast<std::size_t>(
-            std::min(run.length, cfg_.verifyBatchRecords)));
+            std::min(run.length, params_.batchRecords)));
         std::uint32_t crc = 0xffffffffu;
         std::uint64_t done = 0;
         while (done < run.length) {
@@ -321,12 +323,13 @@ class Checkpointer
     void
     commit()
     {
-        io::saveManifest(cfg_.dir, m_, cfg_.faultPolicy,
-                         cfg_.retryPolicy);
+        io::saveManifest(opt_.dir, m_, opt_.faultPolicy,
+                         opt_.retryPolicy);
         ++commits_;
     }
 
-    Config cfg_;
+    DurableOptions opt_;
+    io::ManifestParams params_;
     std::unique_ptr<io::FileRunStore<RecordT>> stores_[2];
     io::JobManifest m_;
     bool resumed_ = false;

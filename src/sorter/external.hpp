@@ -82,16 +82,7 @@ class StreamEngine
         unsigned threads = 1;
     };
 
-    /** Crash-consistency knobs of a durable (checkpointed) sort. */
-    struct DurableOptions
-    {
-        std::string dir; ///< job directory for spills + manifest
-        ResumePolicy policy = ResumePolicy::ResumeOrFresh;
-        /** Installed on the job's spill files and manifest commits
-         *  (tests; nullptr = off). */
-        std::shared_ptr<io::FaultPolicy> faultPolicy;
-        io::RetryPolicy retryPolicy;
-    };
+    using DurableOptions = sorter::DurableOptions;
 
     explicit StreamEngine(Options opt) : opt_(opt)
     {
@@ -148,14 +139,8 @@ class StreamEngine
         // job directory untouched.
         if (source.totalRecords() == 0)
             return finishEmpty(sink);
-        typename Checkpointer<RecordT>::Config cfg;
-        cfg.dir = durable.dir;
-        cfg.policy = durable.policy;
-        cfg.params = manifestParams(source.totalRecords());
-        cfg.verifyBatchRecords = opt_.batchRecords;
-        cfg.faultPolicy = durable.faultPolicy;
-        cfg.retryPolicy = durable.retryPolicy;
-        Checkpointer<RecordT> ckpt(std::move(cfg));
+        Checkpointer<RecordT> ckpt(durable,
+                                   manifestParams(source.totalRecords()));
         return sortStreamImpl(source, sink, ckpt.front(), ckpt.back(),
                               &ckpt);
     }
@@ -202,13 +187,10 @@ class StreamEngine
         ErrorTrap trap;
         try {
             if (ckpt == nullptr || !ckpt->phase1Complete()) {
-                typename Phase1Spiller<RecordT>::Params p1;
-                p1.phase1Ell = opt_.phase1Ell;
-                p1.presortRun = opt_.presortRun;
-                p1.batchRecords = opt_.batchRecords;
-                p1.threads = opt_.threads;
+                const BehavioralSorter<RecordT> phase1(
+                    opt_.phase1Ell, opt_.presortRun, opt_.threads);
                 Phase1Spiller<RecordT>::run(
-                    source, front, pool, p1,
+                    source, front, pool, phase1, opt_.batchRecords,
                     chunkLength(stats.recordsIn), stats, trap, ckpt);
             } else {
                 // Every chunk is journaled: phase 1 is pure replayed

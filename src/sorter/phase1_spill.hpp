@@ -57,18 +57,10 @@ template <typename RecordT>
 class Phase1Spiller
 {
   public:
-    /** Phase-1 knobs, mirrored from StreamEngine::Options. */
-    struct Params
-    {
-        unsigned phase1Ell = 16;
-        std::uint64_t presortRun = 16;
-        std::uint64_t batchRecords = 1 << 14;
-        unsigned threads = 1;
-    };
-
     /**
-     * Stream chunks of @p chunk records from @p source, sort each in
-     * place on @p compute, and spill the sorted runs to @p store.
+     * Stream chunks of @p chunk records from @p source in reads of
+     * @p batch records, sort each in place with @p sorter on
+     * @p compute, and spill the sorted runs to @p store.
      * Fills the phase-1 fields of @p stats; the primary error of a
      * failing run lands in @p trap and is rethrown from here once all
      * three loops have returned.
@@ -81,8 +73,9 @@ class Phase1Spiller
     static void
     run(io::RecordSource<RecordT> &source,
         io::RunStore<RecordT> &store, ThreadPool &compute,
-        const Params &par, std::uint64_t chunk, StreamStats &stats,
-        ErrorTrap &trap, Checkpointer<RecordT> *ckpt = nullptr)
+        const BehavioralSorter<RecordT> &sorter, std::uint64_t batch,
+        std::uint64_t chunk, StreamStats &stats, ErrorTrap &trap,
+        Checkpointer<RecordT> *ckpt = nullptr)
     {
         const auto t1 = std::chrono::steady_clock::now();
         const std::uint64_t total = source.totalRecords();
@@ -126,8 +119,6 @@ class Phase1Spiller
         std::vector<RunSpan> runs;
         if (ckpt && ckpt->resumed())
             runs = store.runs();
-        BehavioralSorter<RecordT> sorter(par.phase1Ell, par.presortRun,
-                                         par.threads);
         std::uint64_t moved = 0;
         // The reader starving on the buffer ring is phase 1's
         // blocked-on-write-back time: a buffer is missing exactly
@@ -142,7 +133,7 @@ class Phase1Spiller
                 c.offset = offset;
                 c.len = std::min<std::uint64_t>(chunk, total - offset);
                 c.index = index++;
-                fill(source, c, par.batchRecords, total);
+                fill(source, c, batch, total);
                 offset += c.len;
                 loaded.push(std::move(c));
             }

@@ -235,9 +235,6 @@ class SsdSorter
          *  plus sort scratch in phase 1, the batch buffer pool in
          *  phase 2.  0 = 256 MiB. */
         std::uint64_t memoryBudgetBytes = 0;
-        /** Streaming batch size b, in records.  0 derives it from
-         *  the planner's Equation 10 batch (phase2.batchBytes). */
-        std::uint64_t batchRecords = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;
         /** Job directory for crash-consistent checkpointing ("" =
@@ -353,11 +350,8 @@ class SsdSorter
         eng.presortRun = arch_.presortRunLength;
         eng.chunkRecords = chunk_records;
         eng.bufferBudgetBytes = budget / 4;
-        eng.batchRecords = opts.batchRecords != 0
-            ? opts.batchRecords
-            : defaultBatchRecords<RecordT>(*plan, record_bytes,
-                                           eng.bufferBudgetBytes,
-                                           threads_);
+        eng.batchRecords = defaultBatchRecords<RecordT>(
+            *plan, record_bytes, eng.bufferBudgetBytes, threads_);
         eng.threads = threads_;
 
         const auto start = std::chrono::steady_clock::now();
@@ -384,14 +378,12 @@ class SsdSorter
     }
 
   private:
-    /** Default streaming batch b: the planner's Equation 10 batch
+    /** Streaming batch b: the planner's Equation 10 batch
      *  (phase2.batchBytes, the largest b with lambda*b*ell <= C_BRAM),
      *  capped so the pool can hold one full merge lane per requested
      *  thread — W lanes of fan-in ell need (2 ell + 2) * W buffers
      *  (and never fewer than 8) — so asking for more threads shrinks
-     *  b instead of silently serializing phase 2.  Explicit user
-     *  batches are taken as-is and fail loudly if the pool cannot
-     *  hold one. */
+     *  b instead of silently serializing phase 2. */
     template <typename RecordT>
     static std::uint64_t
     defaultBatchRecords(const core::SsdPlan &plan,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -162,6 +163,72 @@ TEST(FaultInjection, ExhaustedTransientRetriesThrowWithFullContext)
     EXPECT_NE(msg.find("unit-test stream of run 7"), std::string::npos)
         << msg;
     EXPECT_NE(msg.find("unlinked spill"), std::string::npos) << msg;
+}
+
+/** Interrupts every attempt and counts the attempts of each kind. */
+class AlwaysEintr : public FaultPolicy
+{
+  public:
+    FaultAction
+    onAttempt(const FaultOp &op) override
+    {
+        attempts_[static_cast<int>(op.kind)].fetch_add(1);
+        FaultAction act;
+        act.failWith = EINTR;
+        return act;
+    }
+
+    std::uint64_t
+    attempts(FaultOp::Kind kind) const
+    {
+        return attempts_[static_cast<int>(kind)].load();
+    }
+
+  private:
+    std::atomic<std::uint64_t> attempts_[3] = {};
+};
+
+TEST(FaultInjection, EintrPastTheLimitNamesTheSyscall)
+{
+    ByteFile file = ByteFile::createTemp();
+    RetryPolicy retry;
+    retry.eintrLimit = 3;
+    file.setRetryPolicy(retry);
+    auto policy = std::make_shared<AlwaysEintr>();
+    file.setFaultPolicy(policy);
+
+    std::vector<unsigned char> buf(64);
+    const struct {
+        FaultOp::Kind kind;
+        const char *syscall;
+        std::function<void()> call;
+    } ops[] = {
+        {FaultOp::Kind::Read, "pread",
+         [&] { file.readAt(0, buf.data(), buf.size()); }},
+        {FaultOp::Kind::Write, "pwrite",
+         [&] { file.writeAt(0, buf.data(), buf.size()); }},
+        {FaultOp::Kind::Sync, "fdatasync", [&] { file.sync(); }},
+    };
+    std::uint64_t eintr_before = 0;
+    for (const auto &op : ops) {
+        unsigned thrown = 0;
+        try {
+            op.call();
+        } catch (const std::runtime_error &e) {
+            ++thrown;
+            const std::string want = std::string(op.syscall) +
+                " interrupted past the EINTR retry limit";
+            EXPECT_NE(std::string(e.what()).find(want),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(thrown, 1u) << op.syscall;
+        // eintrLimit retries, then the attempt that exceeds it.
+        EXPECT_EQ(policy->attempts(op.kind), 4u) << op.syscall;
+        const std::uint64_t eintr = file.retryStats().eintrRetries;
+        EXPECT_EQ(eintr - eintr_before, 4u) << op.syscall;
+        eintr_before = eintr;
+    }
 }
 
 TEST(FaultInjection, EnospcIsPermanentAndReportsTheWriteOffset)

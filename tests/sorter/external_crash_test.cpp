@@ -418,13 +418,15 @@ TEST(StreamEngineCrash, FreshStartDeletesOrphanSpills)
         f.writeAt(0, junk, sizeof(junk), "test orphan");
     }
 
-    typename Checkpointer<Record>::Config cfg;
-    cfg.dir = job.str();
-    cfg.policy = ResumePolicy::ResumeOrFresh;
-    cfg.params.recordBytes = sizeof(Record);
-    cfg.params.recordsIn = 1000;
-    cfg.params.chunkRecords = 100;
-    Checkpointer<Record> ckpt(cfg);
+    DurableOptions durable;
+    durable.dir = job.str();
+    durable.policy = ResumePolicy::ResumeOrFresh;
+    io::ManifestParams params;
+    params.recordBytes = sizeof(Record);
+    params.recordsIn = 1000;
+    params.chunkRecords = 100;
+    params.batchRecords = 16;
+    Checkpointer<Record> ckpt(durable, params);
 
     EXPECT_FALSE(ckpt.resumed());
     EXPECT_EQ(ckpt.fallbackReason(), ""); // NotFound is not a fallback
