@@ -321,17 +321,14 @@ run(int argc, char **argv)
     if (nargs >= 3 && std::strcmp(args[1], "validate") == 0)
         return cmdValidate(args[2]);
 
-    // No arguments: run the whole workflow on a temporary file as a
-    // self-demonstration.
-    std::printf("usage: file_sorter [--threads N] [--budget-mb N] "
-                "[--checkpoint-dir D] [--resume] "
-                "gen <records> <file> | sort <in> <out> | "
-                "ssdsort <in> <out> | extsort <in> <out> | "
-                "checkpoint-status <dir> | validate <file>\n");
-    std::printf("\nrunning self-demo with 100,000 records...\n");
-    cmdGen(100'000, "/tmp/bonsai_demo.dat");
-    cmdSort("/tmp/bonsai_demo.dat", "/tmp/bonsai_demo.sorted", threads);
-    return cmdValidate("/tmp/bonsai_demo.sorted");
+    // No command, or one this tool does not know: a usage error.
+    std::fprintf(stderr,
+                 "usage: file_sorter [--threads N] [--budget-mb N] "
+                 "[--checkpoint-dir D] [--resume] "
+                 "gen <records> <file> | sort <in> <out> | "
+                 "ssdsort <in> <out> | extsort <in> <out> | "
+                 "checkpoint-status <dir> | validate <file>\n");
+    return 2;
 }
 
 } // namespace

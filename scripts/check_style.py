@@ -38,6 +38,12 @@ Rules enforced over src/ (and, where noted, tests/):
      confined to io/byte_io.cpp, so every transfer and every sync
      goes through ByteFile's fault seam and retry schedule.
      (syncDirectory's fsync of a directory is not covered.)
+ 10. Background transfers are posted in one place: only
+     sorter/double_buffer.hpp may call TaskGate::arm or
+     BackgroundWorker::post (their defining headers,
+     io/buffer_pool.hpp and common/thread_pool.hpp, are exempt), so
+     every streamed load, spill, prefetch and write-back goes through
+     DoubleBuffer's wait-swap-post step and its error delivery.
 
 Rule matching runs on text with comments AND string/character
 literals neutralized (see strip_comments), so an error message
@@ -61,6 +67,8 @@ THREAD_ALLOWED = {"src/common/thread_pool.hpp"}
 RANDOM_ALLOWED = {"src/common/random.hpp", "src/common/random.cpp"}
 SYNC_ALLOWED = {"src/common/sync.hpp"}
 RAW_IO_ALLOWED = {"src/io/byte_io.cpp"}
+POST_ALLOWED = {"src/sorter/double_buffer.hpp", "src/io/buffer_pool.hpp",
+                "src/common/thread_pool.hpp"}
 
 THREAD_RE = re.compile(r"\bstd::(this_)?thread\b")
 RANDOM_RE = re.compile(r"(?<![\w:.])(?:s?rand|time)\s*\(")
@@ -75,6 +83,7 @@ SYNC_INCLUDE_RE = re.compile(
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:bonsai::)?Mutex\s+\w+_?\s*;")
 RAW_IO_RE = re.compile(r"(?<![\w.>])(?:::\s*)?(?:pread|pwrite|fdatasync)\s*\(")
+POST_RE = re.compile(r"(?:\.|->)\s*(?:arm|post)\s*\(")
 NOLINT_RE = re.compile(r"NOLINT\w*")
 NOLINT_OK_RE = re.compile(
     r"NOLINT(?:NEXTLINE)?\([A-Za-z0-9_.\-, ]+\):\s*\S")
@@ -250,6 +259,11 @@ def scan_text(rel_str: str, raw: str, problems: list) -> None:
                 f"{rel_str}:{i}: raw pread/pwrite/fdatasync outside "
                 "io/byte_io.cpp (use ByteFile, which retries and "
                 "consults the fault policy)")
+        if rel_str not in POST_ALLOWED and POST_RE.search(line):
+            problems.append(
+                f"{rel_str}:{i}: TaskGate::arm/BackgroundWorker::post "
+                "outside sorter/double_buffer.hpp (run the transfer "
+                "through a DoubleBuffer step)")
         if rel_str not in SYNC_ALLOWED:
             if SYNC_RE.search(line):
                 problems.append(
@@ -391,6 +405,40 @@ def self_test() -> int:
                    'fail("fdatasync( failed"); }'))
     expect("member calls, comments and strings do not trip the "
            "raw-I/O rule", probs == [])
+
+    # Arming a gate or posting to a worker outside DoubleBuffer...
+    probs = violations(
+        "src/sorter/phase1_spill.hpp",
+        hdr.format("void f() { gate_.arm(); worker->post(task); }"))
+    expect("arm/post outside double_buffer.hpp rejected",
+           sum("TaskGate::arm/BackgroundWorker::post" in p
+               for p in probs) == 1)
+    probs = violations("src/foo/bar.cpp", "lanes[0]->writer.post([] {});\n")
+    expect("post through a member chain rejected",
+           any("TaskGate::arm/BackgroundWorker::post" in p
+               for p in probs))
+    # ... but DoubleBuffer and the defining headers own them, and
+    # comments, strings and unrelated names are fine.
+    probs = violations(
+        "src/sorter/double_buffer.hpp",
+        "#ifndef BONSAI_SORTER_DOUBLE_BUFFER_HPP\n"
+        "#define BONSAI_SORTER_DOUBLE_BUFFER_HPP\n"
+        "gate_.arm(); worker_->post(task);\n"
+        "#endif // BONSAI_SORTER_DOUBLE_BUFFER_HPP\n")
+    expect("double_buffer.hpp may arm and post", probs == [])
+    probs = violations(
+        "src/common/thread_pool.hpp",
+        "#ifndef BONSAI_COMMON_THREAD_POOL_HPP\n"
+        "#define BONSAI_COMMON_THREAD_POOL_HPP\n"
+        "void drain() { self.post(x); }\n"
+        "#endif // BONSAI_COMMON_THREAD_POOL_HPP\n")
+    expect("the defining header is exempt", probs == [])
+    probs = violations(
+        "src/foo/bar.hpp",
+        hdr.format('void f() { /* gate.arm( */ fail("w.post( x"); '
+                   'postpone(); disarm(); }'))
+    expect("comments, strings and other names do not trip the "
+           "arm/post rule", probs == [])
 
     # Pre-existing rules still fire on neutralized text.
     probs = violations("src/foo/bar.hpp",

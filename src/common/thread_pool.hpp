@@ -208,9 +208,10 @@ class ThreadPool
 /**
  * One persistent background thread executing posted closures in FIFO
  * order — the I/O side of the streaming sorter's double buffering.
- * The out-of-core engine's phase-2 lanes post run prefetches and
- * write-backs here through sorter::DoubleBuffer, so storage traffic
- * overlaps merge compute on the submitting thread; completion of an
+ * sorter::DoubleBuffer is the one poster: phase 1's chunk loads and
+ * spills (on lane 0's writer) and the phase-2 lanes' run prefetches
+ * and write-backs run here, so storage traffic overlaps sort and
+ * merge compute on the submitting thread; completion of an
  * individual task is signaled through state owned by the closure's
  * owner (DoubleBuffer's io::TaskGate).
  *

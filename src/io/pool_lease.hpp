@@ -1,16 +1,16 @@
 /**
  * @file
  * RAII lease of one io::BufferPool buffer — the one way the sorter
- * holds a pool buffer (the two halves of a sorter::DoubleBuffer, the
- * splitter's probe window).
+ * holds a pool buffer (the two halves of a RunCursor's or a
+ * StreamWriter's sorter::DoubleBuffer, the splitter's probe window).
  *
  * A raw acquire()d std::vector owes the pool a release() on every
  * exit, the throwing ones included.  PoolLease makes the release part
- * of its destructor, so a member, a local, or an item a poisoned
- * BoundedQueue destroys all return the buffer — BufferPool's
- * outstanding() count reaches zero on every unwind path by
- * construction.  An owner whose buffer a background task may still be
- * writing must wait for that task before the lease dies.
+ * of its destructor, so a member or a local returns the buffer on
+ * every unwind path — BufferPool's outstanding() count reaches zero
+ * by construction.  An owner whose buffer a background task may still
+ * be writing must wait for that task before the lease dies (as
+ * DoubleBuffer's destructor does).
  *
  * Movable, not copyable: exactly one owner at a time, like the buffer
  * itself.

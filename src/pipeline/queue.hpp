@@ -1,14 +1,15 @@
 /**
  * @file
- * Bounded blocking queue connecting the threads of a pipeline (the
- * stream engine's phase-1 read, sort and spill loops).
+ * Bounded blocking queue connecting the threads of a pipeline.  No
+ * library code calls it: perfbench's pipeline.queue_handoff_ns layer
+ * times it, and the header goes together with that layer.
  *
  * The producer push()es, the consumer pop()s, and the bounded
  * capacity is the backpressure — a producer that outruns its consumer
  * blocks instead of buffering unboundedly, so resident memory stays
  * at capacity() items no matter how lopsided the loop speeds are.
  * Seeded with recycled buffers and drained/refilled in a cycle, the
- * same queue doubles as a free list (phase 1's chunk ring).
+ * same queue doubles as a free list.
  *
  * Lifecycle: the producer close()s when done, after which pop()
  * drains the remaining items and then reports end-of-stream.  On

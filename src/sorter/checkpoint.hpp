@@ -33,9 +33,10 @@
  * one-line reason (ResumeStrict, the --resume contract).
  *
  * Concurrency: single-writer by construction — commitChunk() is
- * called only by the phase-1 spiller stage, commitPass() only by the
- * phase-2 coordinator, and the two phases never overlap.  No mutex,
- * same contract as run metadata in io/run_store.hpp.
+ * called only by phase 1's spill transfers, which run one at a time
+ * on one worker, commitPass() only by the phase-2 coordinator, and
+ * phase 1 waits for its last transfer before phase 2 starts.  No
+ * mutex, same contract as run metadata in io/run_store.hpp.
  */
 
 #ifndef BONSAI_SORTER_CHECKPOINT_HPP
@@ -176,9 +177,6 @@ class Checkpointer
         ++m_.passesDone;
         commit();
     }
-
-    /** Delete the job's durable artifacts (successful completion). */
-    void removeArtifacts() { io::removeJobArtifacts(opt_.dir); }
 
   private:
     std::uint64_t

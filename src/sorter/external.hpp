@@ -10,15 +10,15 @@
  *   sorter/tournament.hpp     the shared merge-tree kernel
  *   sorter/merge_plan.hpp     Equation-10 shape, lanes, stall tally
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
- *   sorter/phase1_spill.hpp   phase 1: read, sort and spill loops
+ *   sorter/phase1_spill.hpp   phase 1: sort loop on the double buffer
  *   sorter/phase2_merge.hpp   phase 2 merge passes and the final pass
  *
- * Phase 1 streams fixed-size chunks from a RecordSource through
- * three loops on their own threads, joined by bounded queues — load,
- * sort in place with the BehavioralSorter, spill to a RunStore — with
- * a two-buffer recycle ring, so the spill write-back of chunk k
- * overlaps the load+sort of chunk k+1 (the paper's double-buffered
- * data loader, writ large).
+ * Phase 1 streams fixed-size chunks from a RecordSource through a
+ * DoubleBuffer of two chunk buffers: the caller sorts the front chunk
+ * in place with the BehavioralSorter while one transfer on lane 0's
+ * writer spills the previous chunk to a RunStore and loads the next
+ * one into the back buffer (the paper's double-buffered data loader,
+ * writ large).
  *
  * Phase 2 runs ell-way merge passes that ping-pong runs between two
  * stores; every pass is one full storage round trip (the paper's SSD
@@ -180,7 +180,7 @@ class StreamEngine
         for (unsigned i = 0; i < shape.lanes; ++i)
             lanes.push_back(std::make_unique<Lane>());
 
-        // Sort-wide first-error latch: every phase-1 loop, cursor,
+        // Sort-wide first-error latch: every phase-1 transfer, cursor,
         // writer and quiesce path records into this one trap, so the
         // caller sees exactly one exception no matter how many lanes
         // failed.
@@ -189,8 +189,10 @@ class StreamEngine
             if (ckpt == nullptr || !ckpt->phase1Complete()) {
                 const BehavioralSorter<RecordT> phase1(
                     opt_.phase1Ell, opt_.presortRun, opt_.threads);
+                // Lane 0's writer is idle until phase 2: phase 1
+                // posts its chunk loads and spills there.
                 Phase1Spiller<RecordT>::run(
-                    source, front, pool, phase1, opt_.batchRecords,
+                    source, front, pool, lanes.front()->writer, phase1,
                     chunkLength(stats.recordsIn), stats, trap, ckpt);
             } else {
                 // Every chunk is journaled: phase 1 is pure replayed

@@ -63,7 +63,8 @@ phase2Shape(std::uint64_t have, std::uint64_t budget_bytes,
 }
 
 /** Per-lane background I/O workers: one phase-2 merge lane owns a
- *  prefetch thread and a write-back thread for the whole sort. */
+ *  prefetch thread and a write-back thread for the whole sort.  Lane
+ *  0's writer also carries phase 1's chunk loads and spills. */
 struct Lane
 {
     BackgroundWorker reader;

@@ -1,30 +1,31 @@
 /**
  * @file
- * Phase 1 of the out-of-core sort as three loops on three queues:
+ * Phase 1 of the out-of-core sort as one loop on the calling thread,
+ * driving a DoubleBuffer over two chunk buffers:
  *
- *   chunk reader  ->  chunk sorter  ->  spiller
- *        ^                                  |
- *        +------- free chunk-buffer ring ---+
+ *   step k:  back buffer   spill chunk k-2, then load chunk k
+ *            front buffer  sort chunk k-1 in place (the caller)
  *
- * The reader streams fixed-size chunks from the RecordSource into a
- * recycled chunk buffer, the sorter sorts each chunk *in place* with
- * the BehavioralSorter on the engine's compute pool, and the spiller
- * writes the sorted run to the RunStore and returns the buffer to the
- * ring.  The ring is seeded with two chunk buffers (one when the
- * whole input is a single chunk), so resident memory keeps the
- * engine's historical bound — two chunk buffers plus sort scratch —
- * while the spill write-back of chunk k overlaps the load and sort of
- * chunk k+1 (the paper's double-buffered data loader, writ large).
+ * Each step waits for the transfer in flight and swaps the buffers,
+ * then posts one transfer on the back buffer: spill the chunk sorted
+ * last step to the RunStore (and journal it), then load the next
+ * chunk from the RecordSource into the same buffer.  Meanwhile the
+ * caller sorts the front chunk with the BehavioralSorter on the
+ * engine's compute pool.  A final spill-only step and a wait close
+ * the phase.  Resident memory keeps the engine's historical bound —
+ * two chunk buffers (one when a single chunk covers the input) plus
+ * sort scratch — while the spill of chunk k and the load of chunk
+ * k+2 overlap the sort of chunk k+1 (the paper's double-buffered data
+ * loader, writ large).
  *
- * Each loop runs on a thread of its own, and the edges are
- * pipeline::BoundedQueues: the first failing loop (a short-read
- * contract, a terminal record in the input, a spill-device error)
- * becomes the sort's primary error and poisons all three queues; the
- * other loops unwind on PipelineAborted, which is not an error of its
- * own.  FIFO edges with a single producer and consumer per queue
- * keep chunks in input order, so runs land at the same offsets, in
- * the same order, with the same "phase-1 spill of chunk N" error
- * contexts as a serial read-sort-spill loop.
+ * The transfers run in step order on one BackgroundWorker (lane 0's,
+ * idle until phase 2), so runs land at the same offsets, in the same
+ * order, with the same "phase-1 spill of chunk N" error contexts as a
+ * serial read-sort-spill loop, and a buffer is reloaded only after
+ * its chunk is spilled and committed.  A failing transfer (a short
+ * source, a terminal record in the input, a spill-device error)
+ * surfaces from the next step; a failing sort leaves the transfer in
+ * flight to the DoubleBuffer's destructor.
  */
 
 #ifndef BONSAI_SORTER_PHASE1_SPILL_HPP
@@ -33,10 +34,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -45,9 +44,9 @@
 #include "common/thread_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
-#include "pipeline/queue.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/checkpoint.hpp"
+#include "sorter/double_buffer.hpp"
 #include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
@@ -58,29 +57,30 @@ class Phase1Spiller
 {
   public:
     /**
-     * Stream chunks of @p chunk records from @p source in reads of
-     * @p batch records, sort each in place with @p sorter on
-     * @p compute, and spill the sorted runs to @p store.
-     * Fills the phase-1 fields of @p stats; the primary error of a
-     * failing run lands in @p trap and is rethrown from here once all
-     * three loops have returned.
+     * Stream chunks of @p chunk records from @p source, sort each in
+     * place with @p sorter on @p compute, and spill the sorted runs
+     * to @p store, with every load and spill posted to @p worker.
+     * Fills the phase-1 fields of @p stats.  A failing load, sort or
+     * spill throws from here; a transfer error with no consumer left
+     * lands in @p trap as a secondary error.
      *
      * With a @p ckpt the phase resumes: chunks the journal already
      * records are skipped in the source (never re-read, never
      * re-sorted), their runs are adopted, and every newly spilled
-     * chunk is committed to the journal before the next one starts.
+     * chunk is committed to the journal before its buffer reloads.
      */
     static void
     run(io::RecordSource<RecordT> &source,
         io::RunStore<RecordT> &store, ThreadPool &compute,
-        const BehavioralSorter<RecordT> &sorter, std::uint64_t batch,
-        std::uint64_t chunk, StreamStats &stats, ErrorTrap &trap,
+        BackgroundWorker &worker,
+        const BehavioralSorter<RecordT> &sorter, std::uint64_t chunk,
+        StreamStats &stats, ErrorTrap &trap,
         Checkpointer<RecordT> *ckpt = nullptr)
     {
         const auto t1 = std::chrono::steady_clock::now();
         const std::uint64_t total = source.totalRecords();
-        const std::uint64_t base_index = ckpt ? ckpt->chunksDone() : 0;
-        const std::uint64_t start = base_index * chunk;
+        const std::uint64_t start =
+            ckpt ? ckpt->chunksDone() * chunk : 0;
         if (start > 0) {
             // Input already spilled by the previous attempt: skip it
             // (O(1) on positioned sources).  A source shorter than
@@ -97,105 +97,49 @@ class Phase1Spiller
                         " records the checkpoint already spilled");
         }
 
-        pipeline::BoundedQueue<Chunk> free(2);
-        pipeline::BoundedQueue<Chunk> loaded(2);
-        pipeline::BoundedQueue<Chunk> sorted(2);
-        // Seed the ring: one buffer when a single chunk covers the
-        // remaining input, two otherwise (the historical memory
-        // bound).
-        {
-            Chunk c;
-            c.buf.resize(chunk);
-            free.push(std::move(c));
-            if (chunk < total - start) {
-                Chunk d;
-                d.buf.resize(chunk);
-                free.push(std::move(d));
-            }
-        }
-
         // The resumed attempt's runs come first (in chunk order), so
         // the final run list covers the whole input.
         std::vector<RunSpan> runs;
         if (ckpt && ckpt->resumed())
             runs = store.runs();
+        // The second buffer stays empty when a single chunk covers
+        // the remaining input (the historical memory bound): the
+        // first step loads into the first one.
+        DoubleBuffer<std::vector<RecordT>> buf(
+            std::vector<RecordT>(chunk),
+            std::vector<RecordT>(chunk < total - start ? chunk : 0),
+            worker, trap);
         std::uint64_t moved = 0;
-        // The reader starving on the buffer ring is phase 1's
-        // blocked-on-write-back time: a buffer is missing exactly
-        // while its previous spill has not landed.
-        double ring_stall = 0.0;
-
-        const auto read_chunks = [&] {
-            std::uint64_t offset = start;
-            std::uint64_t index = base_index;
-            while (offset < total) {
-                Chunk c = *free.pop(ring_stall);
-                c.offset = offset;
-                c.len = std::min<std::uint64_t>(chunk, total - offset);
-                c.index = index++;
-                fill(source, c, batch, total);
-                offset += c.len;
-                loaded.push(std::move(c));
-            }
-            loaded.close();
-        };
-        // The compute pool is a different pool than the loops' own,
-        // so the in-place sort may parallelFor on it (nested
-        // parallelism is only banned within one pool).
-        const auto sort_chunks = [&] {
-            double starved = 0.0;
-            while (auto c = loaded.pop(starved)) {
-                const std::span<RecordT> keys(c->buf.data(), c->len);
+        RunSpan sorted{start, 0}; // sorted last step, spilled this one
+        RunSpan loaded{start, 0}; // loaded last step, sorted this one
+        do {
+            const std::uint64_t next = loaded.offset + loaded.length;
+            const RunSpan load{next,
+                               std::min<std::uint64_t>(chunk,
+                                                       total - next)};
+            buf.step(sorted.length + load.length,
+                     [&store, &source, ckpt, chunk, total, spilled = sorted,
+                      load](RecordT *b, std::uint64_t) {
+                         spill(store, ckpt, b, spilled, chunk);
+                         fill(source, b, load, total);
+                     });
+            if (sorted.length > 0)
+                runs.push_back(sorted);
+            sorted = loaded; // the step swapped it to the front
+            loaded = load;
+            if (sorted.length > 0) {
+                const std::span<RecordT> keys(buf.front(), sorted.length);
                 moved += sorter.sort(keys, compute).recordsMoved;
-                sorted.push(std::move(*c));
             }
-            sorted.close();
-        };
-        const auto spill_chunks = [&] {
-            double starved = 0.0;
-            while (auto c = sorted.pop(starved)) {
-                const std::string ctx =
-                    "phase-1 spill of chunk " + std::to_string(c->index);
-                store.writeAt(c->offset, c->buf.data(), c->len,
-                              ctx.c_str());
-                const RunSpan run{c->offset, c->len};
-                runs.push_back(run);
-                // Journal the chunk before its buffer recycles: once
-                // committed, a crash anywhere later never redoes it.
-                if (ckpt != nullptr)
-                    ckpt->commitChunk(run);
-                free.push(std::move(*c));
-            }
-        };
-
-        // One thread per loop: a pool of width 3 hands each index to
-        // its own thread (a thread only claims a second index after
-        // its first loop returned), so a loop blocked on a queue
-        // waits on a loop that runs already or that an idle pool
-        // thread will claim.
-        ThreadPool loops(3);
-        loops.parallelFor(3, [&](std::uint64_t i) {
-            try {
-                if (i == 0)
-                    read_chunks();
-                else if (i == 1)
-                    sort_chunks();
-                else
-                    spill_chunks();
-            } catch (const pipeline::PipelineAborted &) {
-                // Unwinding behind the primary error; absorbed.
-            } catch (...) {
-                trap.store(std::current_exception());
-                free.poison();
-                loaded.poison();
-                sorted.poison();
-            }
-        });
-        trap.rethrowIfSet();
+        } while (sorted.length > 0 || loaded.length > 0);
+        buf.wait();
 
         stats.phase1RecordsMoved += moved;
         stats.recordsMoved += moved;
-        stats.writeStallSeconds += ring_stall;
+        // Blocked on the buffer in flight is phase 1's
+        // blocked-on-write-back time (the load rides behind the
+        // spill in the same transfer).
+        stats.writeStallSeconds += buf.stallSeconds();
         // Durability point: a spill the device only buffered is not a
         // spill phase 2 can trust.
         store.flush("phase-1 spill flush");
@@ -208,26 +152,32 @@ class Phase1Spiller
     }
 
   private:
-    /** One chunk in flight: a recycled buffer plus its position. */
-    struct Chunk
-    {
-        std::vector<RecordT> buf;
-        std::uint64_t offset = 0;
-        std::uint64_t len = 0;
-        std::uint64_t index = 0;
-    };
-
-    /** Read @p c's records from @p source in batches of @p batch,
-     *  rejecting a short source and the terminal record. */
+    /** Write the sorted chunk @p run from @p src to @p store, then
+     *  journal it before its buffer reloads: once committed, a crash
+     *  anywhere later never redoes it.  An empty @p run is a no-op. */
     static void
-    fill(io::RecordSource<RecordT> &source, Chunk &c,
-         std::uint64_t batch, std::uint64_t total)
+    spill(io::RunStore<RecordT> &store, Checkpointer<RecordT> *ckpt,
+          const RecordT *src, RunSpan run, std::uint64_t chunk)
+    {
+        if (run.length == 0)
+            return;
+        const std::string ctx =
+            "phase-1 spill of chunk " + std::to_string(run.offset / chunk);
+        store.writeAt(run.offset, src, run.length, ctx.c_str());
+        if (ckpt != nullptr)
+            ckpt->commitChunk(run);
+    }
+
+    /** Read the records of @p c from @p source into @p dst, rejecting
+     *  a short source and the terminal record. */
+    static void
+    fill(io::RecordSource<RecordT> &source, RecordT *dst, RunSpan c,
+         std::uint64_t total)
     {
         std::uint64_t got = 0;
-        while (got < c.len) {
-            const std::uint64_t r = source.read(
-                c.buf.data() + got,
-                std::min<std::uint64_t>(batch, c.len - got));
+        while (got < c.length) {
+            const std::uint64_t r =
+                source.read(dst + got, c.length - got);
             if (r == 0)
                 contracts::fail("precondition", "source.read() != 0",
                                 __FILE__, __LINE__,
@@ -235,8 +185,7 @@ class Phase1Spiller
                                     std::to_string(c.offset + got) +
                                     " but declared " +
                                     std::to_string(total));
-            io::requireNoTerminals(c.buf.data() + got, r,
-                                   c.offset + got);
+            io::requireNoTerminals(dst + got, r, c.offset + got);
             got += r;
         }
     }

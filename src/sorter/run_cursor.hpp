@@ -22,6 +22,7 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
 #include "sorter/double_buffer.hpp"
 
@@ -39,7 +40,9 @@ class RunCursor
           ctx_("streaming run @" + std::to_string(span.offset) + "+" +
                std::to_string(span.length)),
           batch_(pool.batchRecords()), next_(span.offset),
-          end_(span.offset + span.length), buf_(pool, reader, trap)
+          end_(span.offset + span.length),
+          buf_(io::PoolLease<RecordT>(pool), io::PoolLease<RecordT>(pool),
+               reader, trap)
     {
         // The first step fetches batch 0 into the back buffer; the
         // second swaps it in front and prefetches batch 1.
@@ -100,7 +103,7 @@ class RunCursor
     std::uint64_t pos_ = 0;
     /** Last: its destructor quiesces the prefetch, which reads the
      *  members above, before they die. */
-    DoubleBuffer<RecordT> buf_;
+    DoubleBuffer<io::PoolLease<RecordT>> buf_;
 };
 
 } // namespace bonsai::sorter

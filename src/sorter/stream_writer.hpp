@@ -19,6 +19,7 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/stream.hpp"
 #include "sorter/double_buffer.hpp"
 
@@ -33,7 +34,8 @@ class StreamWriter
                  io::BufferPool<RecordT> &pool, BackgroundWorker &writer,
                  ErrorTrap &trap)
         : sink_(&sink), batch_(pool.batchRecords()),
-          buf_(pool, writer, trap)
+          buf_(io::PoolLease<RecordT>(pool), io::PoolLease<RecordT>(pool),
+               writer, trap)
     {
     }
 
@@ -75,7 +77,7 @@ class StreamWriter
     io::RecordSink<RecordT> *sink_;
     std::uint64_t batch_;
     std::uint64_t len_ = 0; ///< records filled in the front buffer
-    DoubleBuffer<RecordT> buf_;
+    DoubleBuffer<io::PoolLease<RecordT>> buf_;
 };
 
 } // namespace bonsai::sorter

@@ -12,6 +12,7 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "sorter/double_buffer.hpp"
 
 namespace bonsai::sorter
@@ -20,6 +21,9 @@ namespace
 {
 
 constexpr std::uint64_t kBatch = 4;
+
+using Lease = io::PoolLease<std::uint64_t>;
+using LeasedBuffer = DoubleBuffer<Lease>;
 
 /** What ErrorTrap::rethrowIfSet throws ("" for nothing). */
 std::string
@@ -40,7 +44,7 @@ TEST(DoubleBufferTest, StepSwapsTheTransferredBatchInFront)
     ErrorTrap trap;
     BackgroundWorker worker;
     {
-        DoubleBuffer<std::uint64_t> buf(pool, worker, trap);
+        LeasedBuffer buf(Lease{pool}, Lease{pool}, worker, trap);
         EXPECT_EQ(pool.outstanding(), 2U);
         const auto fill = [](std::uint64_t first) {
             return [first](std::uint64_t *dst, std::uint64_t n) {
@@ -67,7 +71,7 @@ TEST(DoubleBufferTest, TransferErrorSurfacesOnceFromTheNextWait)
     ErrorTrap trap;
     BackgroundWorker worker;
     {
-        DoubleBuffer<std::uint64_t> buf(pool, worker, trap);
+        LeasedBuffer buf(Lease{pool}, Lease{pool}, worker, trap);
         buf.step(kBatch, [](std::uint64_t *, std::uint64_t) {
             throw std::runtime_error("transfer failed");
         });
@@ -105,7 +109,7 @@ TEST(DoubleBufferTest, DestroyWithAFailingTransferInFlightTrapsIt)
             release.open();
         });
         EXPECT_NO_THROW({
-            DoubleBuffer<std::uint64_t> buf(pool, worker, trap);
+            LeasedBuffer buf(Lease{pool}, Lease{pool}, worker, trap);
             buf.step(kBatch, [&release](std::uint64_t *, std::uint64_t) {
                 release.wait();
                 throw std::runtime_error("late transfer failure");

@@ -1,10 +1,11 @@
 /** @file
  * Fault-injection tests for the out-of-core streaming sort: a fault
- * in any lane — phase-1 spill, phase-2 group merge, final splitter
- * pass, or the output sink — must surface as exactly one clean
- * std::runtime_error from sortStream, with every pool buffer returned
- * (no deadlocked gate, no leak), and a transient fault that heals
- * within the retry budget must not change a single output byte.
+ * in any lane — the input source, phase-1 spill, phase-2 group
+ * merge, final splitter pass, or the output sink — must surface as
+ * exactly one clean std::runtime_error from sortStream, with every
+ * pool buffer returned (no deadlocked gate, no leak), and a transient
+ * fault that heals within the retry budget must not change a single
+ * output byte.
  *
  * The engine checks the pool itself on every exit: a leak throws a
  * ContractViolation (a std::logic_error), which the
@@ -16,9 +17,13 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -88,6 +93,18 @@ streamSort(const StreamEngine<Record> &engine,
         *stats = s;
     return out;
 }
+
+/** A test file, deleted on every exit of the scope that names it. */
+struct RemovedOnExit
+{
+    std::string path;
+
+    ~RemovedOnExit()
+    {
+        std::error_code ignored;
+        std::filesystem::remove(path, ignored);
+    }
+};
 
 /** Run the sort expecting a runtime_error (a leaked pool buffer would
  *  throw a ContractViolation past the catch).  Returns the error text
@@ -292,6 +309,43 @@ TEST(StreamEngineFaults, MergePassWriteBackErrorUnwindsCleanly)
     }
 }
 
+TEST(StreamEngineFaults, SourceReadErrorInPhase1UnwindsCleanly)
+{
+    // The *input* device fails mid-phase-1: a chunk load in flight on
+    // the worker hits unhealing EIO while the caller sorts the chunk
+    // before it.
+    const auto data = makeRecords(30'000, Distribution::UniformRandom);
+    for (const unsigned threads : {1u, 4u}) {
+        io::ByteFile input = io::ByteFile::createTemp();
+        input.writeAt(0, data.data(), data.size() * sizeof(Record));
+        io::FaultPlan plan;
+        plan.eioOnReadAttempt = 12; // chunk 11 of 30: a read per chunk
+        plan.eioFailures = 1'000'000; // never heals
+        input.setFaultPolicy(std::make_shared<io::FaultInjector>(plan));
+        input.setRetryPolicy(fastRetries());
+        io::FileSource<Record> source(std::move(input));
+        std::vector<Record> out;
+        io::MemorySink<Record> sink(out);
+        io::FileRunStore<Record> front;
+        io::FileRunStore<Record> back;
+
+        const StreamEngine<Record> engine(faultOptions(threads));
+        unsigned failures = 0;
+        std::string msg;
+        try {
+            engine.sortStream(source, sink, front, back);
+        } catch (const std::runtime_error &e) {
+            ++failures;
+            msg = e.what();
+        }
+        EXPECT_EQ(failures, 1u)
+            << "source EIO did not surface from sortStream";
+        EXPECT_NE(msg.find("pread failed"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("sequential input scan"), std::string::npos)
+            << msg;
+    }
+}
+
 TEST(StreamEngineFaults, SinkEnospcDuringTheFinalPassUnwindsCleanly)
 {
     // The *output* device fills up mid-final-pass: positioned segment
@@ -299,10 +353,10 @@ TEST(StreamEngineFaults, SinkEnospcDuringTheFinalPassUnwindsCleanly)
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     for (const unsigned threads : {1u, 4u}) {
         io::MemorySource<Record> source{std::span<const Record>(data)};
-        io::FileSink<Record> sink(
-            io::ByteFile::create(::testing::TempDir() +
-                                 "bonsai_enospc_sink_" +
-                                 std::to_string(threads) + ".bin"));
+        const RemovedOnExit output{::testing::TempDir() +
+                                   "bonsai_enospc_sink_" +
+                                   std::to_string(threads) + ".bin"};
+        io::FileSink<Record> sink(io::ByteFile::create(output.path));
         io::FaultPlan plan;
         plan.enospcAtWriteByte = 200'000; // of ~480 KiB of output
         sink.setFaultPolicy(std::make_shared<io::FaultInjector>(plan));
